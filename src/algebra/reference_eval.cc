@@ -193,49 +193,53 @@ Result<bool> NodeSatisfies(storage::Database* db, const PatternNode& pattern,
   return true;
 }
 
-/// Candidate data nodes for `pattern` related to `anchor` by the
-/// pattern's axis. `anchor == kInvalidNodeId` means the pattern root
-/// (candidates anywhere in the database).
-Result<std::vector<storage::NodeId>> Candidates(storage::Database* db,
-                                                const PatternNode& pattern,
-                                                storage::NodeId anchor) {
-  std::vector<storage::NodeId> raw;
-  if (anchor == storage::kInvalidNodeId) {
-    if (pattern.tag().has_value()) {
-      const storage::TagId tag = db->LookupTag(*pattern.tag());
-      if (tag == text::kInvalidTermId) return raw;
-      const std::vector<storage::NodeId>* nodes = db->ElementsWithTag(tag);
-      if (nodes != nullptr) raw = *nodes;
+/// One past the last node of `id`'s subtree. A document's nodes are
+/// contiguous and in document order, so the subtree is the id run after
+/// `id` whose nodes start inside its interval; binary search over the
+/// in-memory doc/start index finds its end without a record fetch.
+storage::NodeId SubtreeEnd(const storage::Database& db, storage::NodeId id) {
+  const storage::DocId doc = db.DocFromIndex(id);
+  const uint32_t end = db.EndFromIndex(id);
+  storage::NodeId lo = id + 1;
+  storage::NodeId hi = static_cast<storage::NodeId>(db.num_nodes());
+  while (lo < hi) {
+    const storage::NodeId mid = lo + (hi - lo) / 2;
+    if (db.DocFromIndex(mid) == doc && db.StartFromIndex(mid) < end) {
+      lo = mid + 1;
     } else {
-      for (storage::NodeId id = 0; id < db->num_nodes(); ++id) {
-        raw.push_back(id);
-      }
-    }
-  } else {
-    TIX_ASSIGN_OR_RETURN(const storage::NodeRecord anchor_record,
-                         db->GetNode(anchor));
-    switch (pattern.axis()) {
-      case Axis::kChild: {
-        TIX_ASSIGN_OR_RETURN(raw, db->ChildrenOf(anchor));
-        break;
-      }
-      case Axis::kDescendantOrSelf:
-        raw.push_back(anchor);
-        [[fallthrough]];
-      case Axis::kDescendant: {
-        for (storage::NodeId id = anchor + 1; id < db->num_nodes(); ++id) {
-          TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                               db->GetNode(id));
-          if (record.doc_id != anchor_record.doc_id ||
-              record.start >= anchor_record.end) {
-            break;
-          }
-          raw.push_back(id);
-        }
-        break;
-      }
+      hi = mid;
     }
   }
+  return lo;
+}
+
+/// Data nodes with ids in [begin, end) that match `pattern`, restricted
+/// to children of `parent` unless it is kInvalidNodeId. Structure comes
+/// from the in-memory node index; a record is fetched only to test what
+/// the index does not hold: the kind of an untagged candidate and value
+/// or attribute predicates.
+Result<std::vector<storage::NodeId>> CandidatesInRange(
+    storage::Database* db, const PatternNode& pattern, storage::NodeId begin,
+    storage::NodeId end, storage::NodeId parent) {
+  std::vector<storage::NodeId> raw;
+  if (pattern.tag().has_value()) {
+    const storage::TagId tag = db->LookupTag(*pattern.tag());
+    if (tag == text::kInvalidTermId) return raw;
+    const std::vector<storage::NodeId>* nodes = db->ElementsWithTag(tag);
+    if (nodes == nullptr) return raw;
+    raw.assign(std::lower_bound(nodes->begin(), nodes->end(), begin),
+               std::lower_bound(nodes->begin(), nodes->end(), end));
+  } else {
+    for (storage::NodeId id = begin; id < end; ++id) raw.push_back(id);
+  }
+  if (parent != storage::kInvalidNodeId) {
+    std::erase_if(raw, [&](storage::NodeId id) {
+      return db->ParentFromIndex(id) != parent;
+    });
+  }
+  // The tag index holds only elements with that tag, so its candidates
+  // of a predicate-free step match as they are.
+  if (pattern.tag().has_value() && pattern.predicates().empty()) return raw;
   std::vector<storage::NodeId> out;
   for (storage::NodeId id : raw) {
     TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record, db->GetNode(id));
@@ -243,6 +247,20 @@ Result<std::vector<storage::NodeId>> Candidates(storage::Database* db,
     if (ok) out.push_back(id);
   }
   return out;
+}
+
+/// Candidate data nodes for non-root `pattern` related to the bound data
+/// node `anchor` by the pattern's axis: drawn from the anchor's subtree
+/// (the anchor itself included for ad*).
+Result<std::vector<storage::NodeId>> Candidates(storage::Database* db,
+                                                const PatternNode& pattern,
+                                                storage::NodeId anchor) {
+  const storage::NodeId begin =
+      pattern.axis() == Axis::kDescendantOrSelf ? anchor : anchor + 1;
+  const storage::NodeId parent =
+      pattern.axis() == Axis::kChild ? anchor : storage::kInvalidNodeId;
+  return CandidatesInRange(db, pattern, begin, SubtreeEnd(*db, anchor),
+                           parent);
 }
 
 Result<std::vector<Embedding>> MatchSub(storage::Database* db,
@@ -341,13 +359,26 @@ Result<ScoredTree> BuildContainmentTree(storage::Database* db,
 }  // namespace
 
 Result<std::vector<Embedding>> MatchPattern(storage::Database* db,
-                                            const ScoredPatternTree& pattern) {
+                                            const ScoredPatternTree& pattern,
+                                            storage::DocId doc) {
   if (pattern.root() == nullptr) {
     return Status::InvalidArgument("empty pattern tree");
   }
+  // A document's nodes are the contiguous id run from its root.
+  storage::NodeId begin = 0;
+  storage::NodeId end = static_cast<storage::NodeId>(db->num_nodes());
+  if (doc != UINT32_MAX) {
+    if (doc >= db->documents().size()) {
+      return Status::InvalidArgument("no document " + std::to_string(doc));
+    }
+    const storage::DocumentInfo& info = db->documents()[doc];
+    begin = info.root;
+    end = static_cast<storage::NodeId>(info.root + info.node_count);
+  }
   TIX_ASSIGN_OR_RETURN(
       const std::vector<storage::NodeId> roots,
-      Candidates(db, *pattern.root(), storage::kInvalidNodeId));
+      CandidatesInRange(db, *pattern.root(), begin, end,
+                        storage::kInvalidNodeId));
   std::vector<Embedding> out;
   for (storage::NodeId root : roots) {
     TIX_ASSIGN_OR_RETURN(std::vector<Embedding> embeddings,

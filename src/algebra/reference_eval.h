@@ -70,9 +70,11 @@ Result<std::vector<ScoredNodeResult>> ReferenceScoreAllElements(
 using Embedding = std::vector<std::pair<int, storage::NodeId>>;
 
 /// All embeddings of the pattern's structural/value part (IR predicates
-/// do not constrain matching; they only produce scores).
+/// do not constrain matching; they only produce scores). `doc` restricts
+/// the pattern root to one document; UINT32_MAX means the whole database.
 Result<std::vector<Embedding>> MatchPattern(storage::Database* db,
-                                            const ScoredPatternTree& pattern);
+                                            const ScoredPatternTree& pattern,
+                                            storage::DocId doc = UINT32_MAX);
 
 /// Scored selection (Sec. 3.2.1): one scored witness tree per embedding.
 Result<ScoredTreeCollection> ScoredSelection(storage::Database* db,

@@ -76,27 +76,42 @@ Result<algebra::ScoredPatternTree> BuildPattern(
   return pattern;
 }
 
-Result<std::vector<exec::ScoredElement>> ToElements(
-    storage::Database* db, const std::vector<storage::NodeId>& nodes) {
+/// Distinct nodes bound to `label` by any of `embeddings` whose document
+/// passes `in_scope`, in node-id order. The document comes from the
+/// in-memory node index, so the filter fetches no record.
+template <typename InScope>
+std::vector<storage::NodeId> BoundNodes(
+    const storage::Database& db,
+    const std::vector<algebra::Embedding>& embeddings, int label,
+    InScope in_scope) {
+  std::vector<storage::NodeId> out;
+  for (const algebra::Embedding& embedding : embeddings) {
+    for (const auto& [bound_label, node] : embedding) {
+      if (bound_label == label && in_scope(db.DocFromIndex(node))) {
+        out.push_back(node);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Elements for sorted, distinct `nodes`, read from the in-memory node
+/// index. Node-id order is document order, so the result is too.
+std::vector<exec::ScoredElement> ToElements(
+    const storage::Database& db, const std::vector<storage::NodeId>& nodes) {
   std::vector<exec::ScoredElement> out;
   out.reserve(nodes.size());
   for (storage::NodeId id : nodes) {
-    TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record, db->GetNode(id));
     exec::ScoredElement element;
     element.node = id;
-    element.doc = record.doc_id;
-    element.start = record.start;
-    element.end = record.end;
-    element.level = record.level;
+    element.doc = db.DocFromIndex(id);
+    element.start = db.StartFromIndex(id);
+    element.end = db.EndFromIndex(id);
+    element.level = db.LevelFromIndex(id);
     out.push_back(element);
   }
-  std::sort(out.begin(), out.end(), exec::DocumentOrderLess);
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const exec::ScoredElement& a,
-                           const exec::ScoredElement& b) {
-                          return a.node == b.node;
-                        }),
-            out.end());
   return out;
 }
 
@@ -293,6 +308,8 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
     if (!all_documents) return doc_id == doc.doc_id;
     return snapshot_ == nullptr || snapshot_->IsLiveDocument(doc_id);
   };
+  // Pattern matches are rooted in the query's document.
+  const storage::DocId match_doc = all_documents ? UINT32_MAX : doc.doc_id;
 
   const std::vector<PathStep>& steps = query.path.steps;
   const PathStep& target_step = steps.back();
@@ -325,26 +342,16 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
       TIX_ASSIGN_OR_RETURN(
           const algebra::ScoredPatternTree anchor_pattern,
           BuildPattern(steps, steps.size() - 1, &step_labels));
-      TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                           algebra::MatchPattern(db_, anchor_pattern));
-      const int anchor_label = step_labels.back();
-      std::unordered_set<storage::NodeId> distinct;
-      for (const algebra::Embedding& embedding : embeddings) {
-        for (const auto& [label, node] : embedding) {
-          if (label == anchor_label) {
-            TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                                 db_->GetNode(node));
-            if (in_scope(record.doc_id)) distinct.insert(node);
-          }
-        }
-      }
-      anchor_nodes.assign(distinct.begin(), distinct.end());
-      std::sort(anchor_nodes.begin(), anchor_nodes.end());
+      TIX_ASSIGN_OR_RETURN(
+          const std::vector<algebra::Embedding> embeddings,
+          algebra::MatchPattern(db_, anchor_pattern, match_doc));
+      anchor_nodes =
+          BoundNodes(*db_, embeddings, step_labels.back(), in_scope);
     }
     output.stats.anchors = anchor_nodes.size();
     span.set_rows(anchor_nodes.size());
     if (anchor_nodes.empty()) return output;
-    TIX_ASSIGN_OR_RETURN(anchors, ToElements(db_, anchor_nodes));
+    anchors = ToElements(*db_, anchor_nodes);
   }
 
   // ---- Score generation (TermJoin) or pure structural matching. ------
@@ -378,7 +385,7 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
 
     std::vector<exec::ScoredElement> all_scored;
     {
-      std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
+      std::string detail = "enhanced";
       if (options_.num_threads > 0) {
         detail += StrFormat(", threads=%zu", options_.num_threads);
       }
@@ -389,7 +396,7 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
           plan, options_.num_threads > 0 ? "ParallelTermJoin" : "TermJoin",
           std::move(detail));
       exec::ParallelTermJoinOptions join_options;
-      join_options.join.enhanced = options_.enhanced_term_join;
+      join_options.join.enhanced = true;
       join_options.join.deadline = &options_.deadline;
       join_options.num_threads = options_.num_threads;
       if (pushdown) {
@@ -404,30 +411,42 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
       TIX_ASSIGN_OR_RETURN(
           all_scored, RunScoringJoin(predicate, *scorer, join_options, &span));
     }
-    std::sort(all_scored.begin(), all_scored.end(), exec::DocumentOrderLess);
     TIX_RETURN_IF_ERROR(CheckDeadline("Scope"));
 
     // Scope to the anchors; `*` targets use descendant-or-self (the
-    // paper's ad* edge), named targets plain descendant/child.
+    // paper's ad* edge), named targets plain descendant/child. Only
+    // documents holding an anchor can hold a scoped element, so the rest
+    // are dropped before sorting TermJoin's post-order output into the
+    // document order the semi-join needs.
     obs::OperatorSpan span(plan, "Scope",
                            "anchor semi-join + target filters");
+    std::vector<storage::DocId> anchor_docs;
+    for (const exec::ScoredElement& anchor : anchors) {
+      if (anchor_docs.empty() || anchor_docs.back() != anchor.doc) {
+        anchor_docs.push_back(anchor.doc);
+      }
+    }
+    std::erase_if(all_scored, [&](const exec::ScoredElement& element) {
+      return !std::binary_search(anchor_docs.begin(), anchor_docs.end(),
+                                 element.doc);
+    });
+    std::sort(all_scored.begin(), all_scored.end(), exec::DocumentOrderLess);
     const bool or_self = target_step.name == "*";
     std::vector<exec::ScoredElement> scoped =
         exec::SemiJoinDescendants(all_scored, anchors, or_self);
-    // Name and axis filters on the target step.
+    // Name and axis filters on the target step. Only the name needs the
+    // record; the parent comes from the in-memory index.
     for (exec::ScoredElement& element : scoped) {
-      TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                           db_->GetNode(element.node));
-      if (target_step.name != "*" &&
-          db_->TagName(record.tag_id) != target_step.name) {
-        continue;
+      if (target_step.name != "*") {
+        TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
+                             db_->GetNode(element.node));
+        if (db_->TagName(record.tag_id) != target_step.name) continue;
       }
-      if (!target_step.descendant) {
-        // Child axis: the parent must be an anchor.
-        if (!std::binary_search(anchor_nodes.begin(), anchor_nodes.end(),
-                                record.parent)) {
-          continue;
-        }
+      // Child axis: the parent must be an anchor.
+      if (!target_step.descendant &&
+          !std::binary_search(anchor_nodes.begin(), anchor_nodes.end(),
+                              db_->ParentFromIndex(element.node))) {
+        continue;
       }
       scored.push_back(std::move(element));
     }
@@ -438,22 +457,11 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
     std::vector<int> step_labels;
     TIX_ASSIGN_OR_RETURN(const algebra::ScoredPatternTree full_pattern,
                          BuildPattern(steps, steps.size(), &step_labels));
-    TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                         algebra::MatchPattern(db_, full_pattern));
-    const int target_label = step_labels.back();
-    std::unordered_set<storage::NodeId> distinct;
-    for (const algebra::Embedding& embedding : embeddings) {
-      for (const auto& [label, node] : embedding) {
-        if (label == target_label) {
-          TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                               db_->GetNode(node));
-          if (in_scope(record.doc_id)) distinct.insert(node);
-        }
-      }
-    }
-    std::vector<storage::NodeId> nodes(distinct.begin(), distinct.end());
-    std::sort(nodes.begin(), nodes.end());
-    TIX_ASSIGN_OR_RETURN(scored, ToElements(db_, nodes));
+    TIX_ASSIGN_OR_RETURN(
+        const std::vector<algebra::Embedding> embeddings,
+        algebra::MatchPattern(db_, full_pattern, match_doc));
+    scored = ToElements(
+        *db_, BoundNodes(*db_, embeddings, step_labels.back(), in_scope));
     span.set_rows(scored.size());
   }
   output.stats.scored_elements = scored.size();
@@ -485,24 +493,31 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
 
     std::unordered_set<storage::NodeId> picked_set;
     for (const exec::ScoredElement& anchor : anchors) {
-      // Collect scored elements within this anchor (or-self) in
-      // document order and flatten to a pre-order level stream.
+      // `scored` is in document order, so the anchor's self-or-descendant
+      // elements are the run whose (doc, start) lies in
+      // [(doc, anchor.start), (doc, anchor.end)); flatten it to a
+      // pre-order level stream.
+      auto first = std::lower_bound(
+          scored.begin(), scored.end(), anchor.start,
+          [&](const exec::ScoredElement& element, uint32_t start) {
+            return element.doc < anchor.doc ||
+                   (element.doc == anchor.doc && element.start < start);
+          });
+      const auto last = std::lower_bound(
+          first, scored.end(), anchor.end,
+          [&](const exec::ScoredElement& element, uint32_t end) {
+            return element.doc == anchor.doc && element.start < end;
+          });
       std::vector<exec::PickEntry> entries;
       std::vector<const exec::ScoredElement*> stack;
       // Root entry: the anchor itself (score 0 unless scored).
       exec::ScoredElement anchor_entry = anchor;
-      for (const exec::ScoredElement& element : scored) {
-        if (element.node == anchor.node) anchor_entry = element;
-      }
+      if (first != last && first->node == anchor.node) anchor_entry = *first++;
       entries.push_back(exec::PickEntry{anchor_entry.node, 0,
                                         anchor_entry.score});
       stack.push_back(&anchor_entry);
-      for (const exec::ScoredElement& element : scored) {
-        if (element.node == anchor.node) continue;
-        if (!(element.doc == anchor.doc && element.start > anchor.start &&
-              element.end < anchor.end)) {
-          continue;
-        }
+      for (auto it = first; it != last; ++it) {
+        const exec::ScoredElement& element = *it;
         while (!(element.start > stack.back()->start &&
                  element.end < stack.back()->end)) {
           stack.pop_back();
@@ -577,19 +592,11 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
         const algebra::ScoredPatternTree pattern,
         BuildPattern(path.steps, path.steps.size(), &step_labels));
     TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                         algebra::MatchPattern(db_, pattern));
-    std::unordered_set<storage::NodeId> distinct;
-    for (const algebra::Embedding& embedding : embeddings) {
-      for (const auto& [label, node] : embedding) {
-        if (label != step_labels.back()) continue;
-        TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                             db_->GetNode(node));
-        if (record.doc_id == doc.doc_id) distinct.insert(node);
-      }
-    }
-    std::vector<storage::NodeId> out(distinct.begin(), distinct.end());
-    std::sort(out.begin(), out.end());
-    return out;
+                         algebra::MatchPattern(db_, pattern, doc.doc_id));
+    return BoundNodes(*db_, embeddings, step_labels.back(),
+                      [&](storage::DocId doc_id) {
+                        return doc_id == doc.doc_id;
+                      });
   };
   std::vector<storage::NodeId> left_anchors;
   std::vector<storage::NodeId> right_anchors;
@@ -639,7 +646,7 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
   // Best IR component score per left anchor (Query 3's $d/@score).
   std::unordered_map<storage::NodeId, double> ir_score;
   if (query.score.has_value()) {
-    std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
+    std::string detail = "enhanced";
     if (options_.num_threads > 0) {
       detail += StrFormat(", threads=%zu", options_.num_threads);
     }
@@ -651,7 +658,7 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
     TIX_ASSIGN_OR_RETURN(const std::unique_ptr<algebra::Scorer> scorer,
                          MakeScorerForClause(*query.score, predicate));
     exec::ParallelTermJoinOptions term_join_options;
-    term_join_options.join.enhanced = options_.enhanced_term_join;
+    term_join_options.join.enhanced = true;
     term_join_options.join.deadline = &options_.deadline;
     term_join_options.num_threads = options_.num_threads;
     TIX_ASSIGN_OR_RETURN(
@@ -659,12 +666,13 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
         RunScoringJoin(predicate, *scorer, term_join_options, &span));
     output.stats.scored_elements = scored.size();
     for (const storage::NodeId anchor : left_anchors) {
-      TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                           db_->GetNode(anchor));
+      const storage::DocId doc_id = db_->DocFromIndex(anchor);
+      const uint32_t start = db_->StartFromIndex(anchor);
+      const uint32_t end = db_->EndFromIndex(anchor);
       double best = 0.0;
       for (const exec::ScoredElement& element : scored) {
-        if (element.doc == record.doc_id && element.start >= record.start &&
-            element.end <= record.end) {
+        if (element.doc == doc_id && element.start >= start &&
+            element.end <= end) {
           best = std::max(best, element.score);
         }
       }

@@ -63,9 +63,12 @@ struct QueryOutput {
   std::optional<obs::OperatorMetrics> plan;
 };
 
+/// Score generation always runs the Enhanced TermJoin: ancestors and
+/// child counts come from the database's in-memory node index, never from
+/// record navigation. Plain TermJoin stays an exec-level access method
+/// (exec::TermJoinOptions::enhanced = false), the paper's Tables 1-4
+/// baseline.
 struct EngineOptions {
-  /// Use the Enhanced TermJoin (parent/child-count index).
-  bool enhanced_term_join = false;
   /// Worker threads for score generation (doc-partitioned parallel
   /// TermJoin). 0 = serial, preserving the single-threaded behavior.
   size_t num_threads = 0;

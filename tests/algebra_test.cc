@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -379,6 +380,30 @@ TEST_F(ReferenceEvalTest, MatchPatternFindsEmbeddings) {
     // $1 must bind the article root.
     EXPECT_EQ(embedding[0].second, db_->documents()[0].root);
   }
+}
+
+TEST_F(ReferenceEvalTest, MatchPatternRestrictedToOneDocument) {
+  // An untagged root (every node a candidate) with a tagged child: the
+  // per-document matches partition the whole-database matches.
+  ScoredPatternTree pattern;
+  PatternNode* any = pattern.CreateRoot(1);
+  any->AddChild(2, Axis::kDescendant)->set_tag("title");
+  const auto all = Unwrap(MatchPattern(db_.get(), pattern));
+  ASSERT_FALSE(all.empty());
+  size_t total = 0;
+  for (const storage::DocumentInfo& info : db_->documents()) {
+    const auto scoped = Unwrap(MatchPattern(db_.get(), pattern, info.doc_id));
+    for (const Embedding& embedding : scoped) {
+      EXPECT_EQ(db_->DocFromIndex(embedding[0].second), info.doc_id);
+      EXPECT_NE(std::find(all.begin(), all.end(), embedding), all.end());
+    }
+    total += scoped.size();
+  }
+  EXPECT_EQ(total, all.size());
+  EXPECT_FALSE(MatchPattern(db_.get(), pattern,
+                            static_cast<storage::DocId>(
+                                db_->documents().size()))
+                   .ok());
 }
 
 TEST_F(ReferenceEvalTest, NoEmbeddingsWhenPredicateFails) {

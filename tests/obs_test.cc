@@ -230,8 +230,11 @@ class EnginePlanTest : public ::testing::Test {
   std::unique_ptr<index::InvertedIndex> index_;
 };
 
+// The engine fetches records only for fields the in-memory node index
+// does not hold. The value predicate on the anchor reads text, so this
+// query fetches by design while its TermJoin fetches nothing.
 constexpr char kScoredQuery[] = R"(
-    FOR $a IN document("articles.xml")//article//*
+    FOR $a IN document("articles.xml")//article[author/sname = "Doe"]//*
     SCORE $a USING foo({"search engine"},
                        {"internet", "information retrieval"})
     THRESHOLD STOP AFTER 3
@@ -266,6 +269,8 @@ TEST_F(EnginePlanTest, ScoredQueryPlanTree) {
   // Operator counters are a partition of (at most) the root's rollup.
   EXPECT_LE(join->GetCounter("record_fetches"),
             plan.GetCounter("record_fetches"));
+  // Enhanced TermJoin navigates from the in-memory node index.
+  EXPECT_EQ(join->GetCounter("record_fetches"), 0u);
 }
 
 TEST_F(EnginePlanTest, ParallelPlanHasPartitionChildren) {
@@ -311,8 +316,9 @@ TEST_F(EnginePlanTest, CollectingMetricsDoesNotChangeResults) {
 TEST_F(EnginePlanTest, ConcurrentQueriesSeeOnlyTheirOwnFetches) {
   const std::vector<std::string> queries = {
       kScoredQuery,
-      R"(FOR $a IN document("articles.xml")//article//*
-         SCORE $a USING bm25({"xml"}, {"database", "query"})
+      // A named target: Scope reads each scored element's tag.
+      R"(FOR $a IN document("articles.xml")//article//p
+         SCORE $a USING bm25({"search engine"}, {"internet"})
          THRESHOLD STOP AFTER 5
          RETURN $a)",
   };

@@ -46,6 +46,7 @@
 namespace tix {
 namespace {
 
+using ::tix::testing::ExpectNodeIndexMatchesRecords;
 using ::tix::testing::ExpectOk;
 using ::tix::testing::MakeTestDatabase;
 using ::tix::testing::TempDir;
@@ -619,6 +620,21 @@ TEST_F(LiveServerTest, IngestQueryDeleteCompactLifecycle) {
                           "\"gen_evictions\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
+}
+
+TEST_F(LiveServerTest, IngestKeepsNodeIndexInStepWithRecords) {
+  auto server = StartServer();
+  server::Client client = Unwrap(server::Client::Connect("127.0.0.1",
+                                                         server->port()));
+  for (int i = 0; i < 7; ++i) {  // past a seal (seal_doc_count = 3)
+    Unwrap(client.Ingest("n" + std::to_string(i) + ".xml",
+                         MakeArticleXml(&rng_)));
+  }
+  ExpectOk(client.Delete("n2.xml"));
+  const std::string answer =
+      Unwrap(client.Query(EquivalenceQueries("n4.xml")[2]));
+  EXPECT_NE(answer.find("results"), std::string::npos);
+  ExpectNodeIndexMatchesRecords(db_.get());
 }
 
 TEST_F(LiveServerTest, CachedResultsGoStaleOnIngest) {

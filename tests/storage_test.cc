@@ -11,12 +11,14 @@
 #include "storage/file_manager.h"
 #include "storage/node_record.h"
 #include "tests/test_util.h"
+#include "workload/corpus.h"
 #include "workload/paper_example.h"
 #include "xml/parser.h"
 
 namespace tix::storage {
 namespace {
 
+using testing::ExpectNodeIndexMatchesRecords;
 using testing::ExpectOk;
 using testing::MakeTestDatabase;
 using testing::TempDir;
@@ -334,6 +336,28 @@ TEST(DatabaseTest, NavigationMatchesIndex) {
     EXPECT_EQ(Unwrap(db->CountChildrenByNavigation(id)), record.num_children);
     EXPECT_EQ(Unwrap(db->ChildrenOf(id)).size(), record.num_children);
   }
+}
+
+TEST(DatabaseTest, NodeIndexMatchesRecordsAfterLoadAndOpen) {
+  TempDir dir;
+  {
+    auto db = MakeTestDatabase(dir.path());
+    workload::CorpusOptions options;
+    options.num_articles = 12;
+    options.vocabulary_size = 200;
+    options.generate_reviews = true;
+    options.num_reviews = 8;
+    Unwrap(workload::GenerateCorpus(db.get(), options));
+    ExpectOk(workload::LoadPaperExample(db.get()));
+    ExpectNodeIndexMatchesRecords(db.get());
+    ExpectOk(db->Save());
+  }
+  // Open rebuilds the in-memory index with one table scan.
+  DatabaseOptions options;
+  options.buffer_pool_pages = 64;
+  auto db = Unwrap(Database::Open(dir.path(), options));
+  ASSERT_EQ(db->documents().size(), 15u);
+  ExpectNodeIndexMatchesRecords(db.get());
 }
 
 TEST(DatabaseTest, AncestorsChain) {

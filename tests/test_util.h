@@ -1,8 +1,10 @@
 #ifndef TIX_TESTS_TEST_UTIL_H_
 #define TIX_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -55,6 +57,41 @@ inline std::unique_ptr<storage::Database> MakeTestDatabase(
   storage::DatabaseOptions options;
   options.buffer_pool_pages = pool_pages;
   return Unwrap(storage::Database::Create(dir, options));
+}
+
+/// The invariant fetch-free navigation rests on: for every node, the
+/// in-memory parent/start/end/level/doc/child-count entries equal the
+/// stored record, and the tag index holds exactly the elements, each
+/// under its own tag, in node-id order.
+inline void ExpectNodeIndexMatchesRecords(storage::Database* db) {
+  uint64_t elements = 0;
+  for (storage::NodeId id = 0; id < db->num_nodes(); ++id) {
+    const storage::NodeRecord record = Unwrap(db->GetNode(id));
+    EXPECT_EQ(db->ParentFromIndex(id), record.parent) << id;
+    EXPECT_EQ(db->StartFromIndex(id), record.start) << id;
+    EXPECT_EQ(db->EndFromIndex(id), record.end) << id;
+    EXPECT_EQ(db->LevelFromIndex(id), record.level) << id;
+    EXPECT_EQ(db->DocFromIndex(id), record.doc_id) << id;
+    EXPECT_EQ(db->ChildCountFromIndex(id), record.num_children) << id;
+    if (!record.is_element()) continue;
+    ++elements;
+    const std::vector<storage::NodeId>* tagged =
+        db->ElementsWithTag(record.tag_id);
+    ASSERT_NE(tagged, nullptr) << id;
+    EXPECT_TRUE(std::binary_search(tagged->begin(), tagged->end(), id)) << id;
+  }
+  uint64_t indexed = 0;
+  for (storage::TagId tag = 0; tag < db->num_tags(); ++tag) {
+    const std::vector<storage::NodeId>* tagged = db->ElementsWithTag(tag);
+    if (tagged == nullptr) continue;
+    EXPECT_EQ(std::adjacent_find(tagged->begin(), tagged->end(),
+                                 std::greater_equal<storage::NodeId>()),
+              tagged->end())
+        << "tag " << tag << " is not in strict node-id order";
+    indexed += tagged->size();
+  }
+  // Every element sits under its own tag, so no list holds anything else.
+  EXPECT_EQ(indexed, elements);
 }
 
 }  // namespace tix::testing
