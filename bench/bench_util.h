@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -84,6 +86,42 @@ inline double Measure(const std::function<Status()>& fn, int runs,
 inline void PrintRule(size_t width) {
   for (size_t i = 0; i < width; ++i) std::putchar('-');
   std::putchar('\n');
+}
+
+/// The machine and build a BENCH_*.json figure came from, as a JSON
+/// object: visible CPUs, CPU model (Linux /proc/cpuinfo), build type
+/// (CMAKE_BUILD_TYPE, compiled in) and `git describe --always --dirty`
+/// of the checkout the bench runs in ("unknown" when unavailable).
+inline std::string MachineFingerprintJson() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != line.npos) {
+      cpu_model = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  std::string git = "unknown";
+  if (std::FILE* pipe =
+          popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buffer[128] = {};
+    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+      git = buffer;
+      while (!git.empty() && (git.back() == '\n' || git.back() == '\r')) {
+        git.pop_back();
+      }
+    }
+    pclose(pipe);
+  }
+#ifdef TIX_BUILD_TYPE
+  const std::string build_type =
+      *TIX_BUILD_TYPE != '\0' ? TIX_BUILD_TYPE : "unset";
+#else
+  const std::string build_type = "unknown";
+#endif
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + cpu_model + "\", \"build_type\": \"" +
+         build_type + "\", \"git\": \"" + git + "\"}";
 }
 
 }  // namespace tix::bench

@@ -40,20 +40,6 @@ std::vector<DocRange> PlanDocPartitions(const index::InvertedIndex& index,
             total += next - offset;
           }
         }
-      } else if (list->is_compressed()) {
-        // Trust-mode open: doc_offsets were never derived. Charge each
-        // block's posting count to its first document — approximate,
-        // but partitioning only needs balance (cuts stay between
-        // documents either way), and this never decodes a block.
-        for (size_t b = 0; b < list->skips.size(); ++b) {
-          const storage::DocId doc = list->skips[b].doc_id;
-          if (doc >= lo && doc < hi) {
-            const uint32_t count =
-                list->BlockPostingCount(static_cast<uint32_t>(b));
-            mass[doc - lo] += count;
-            total += count;
-          }
-        }
       } else {
         for (const index::Posting& posting : list->postings) {
           if (posting.doc_id >= lo && posting.doc_id < hi) {

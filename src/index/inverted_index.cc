@@ -49,6 +49,55 @@ int VersionOf(codec::TailFormat format) {
   return format == codec::TailFormat::kV3 ? 3 : 4;
 }
 
+/// Streaming check of the invariants every merge relies on (see
+/// PostingList::DebugCheckSorted), fed one posting at a time in list
+/// order by both representations' validators.
+class PostingOrderCheck {
+ public:
+  /// Checks `posting` against its predecessor; `*new_doc` reports
+  /// whether it is its document's first posting.
+  Status Next(const Posting& posting, bool* new_doc) {
+    *new_doc = !has_prev_ || posting.doc_id != prev_.doc_id;
+    if (*new_doc) ++docs_seen_;
+    if (*new_doc || posting.node_id != prev_.node_id) ++nodes_seen_;
+    if (has_prev_) {
+      if (posting.doc_id < prev_.doc_id) {
+        return Status::Corruption("posting list: doc ids out of order");
+      }
+      if (posting.doc_id == prev_.doc_id) {
+        if (posting.word_pos <= prev_.word_pos) {
+          return Status::Corruption(
+              "posting list: word positions not strictly ascending");
+        }
+        if (posting.node_id < prev_.node_id) {
+          return Status::Corruption(
+              "posting list: node ids out of order within a document");
+        }
+      }
+    }
+    prev_ = posting;
+    has_prev_ = true;
+    return Status::OK();
+  }
+
+  /// Checks the list's frequencies against the postings seen.
+  Status Finish(const PostingList& list) const {
+    if (docs_seen_ != list.doc_frequency) {
+      return Status::Corruption("posting list: doc_frequency mismatch");
+    }
+    if (nodes_seen_ != list.node_frequency) {
+      return Status::Corruption("posting list: node_frequency mismatch");
+    }
+    return Status::OK();
+  }
+
+ private:
+  uint32_t docs_seen_ = 0;
+  uint32_t nodes_seen_ = 0;
+  Posting prev_{};
+  bool has_prev_ = false;
+};
+
 }  // namespace
 
 void PostingList::BuildSkips() {
@@ -137,7 +186,6 @@ Status PostingList::DecodeBlock(uint32_t block, Posting* out) const {
 }
 
 Status PostingList::FinishCompressed() {
-  postings.clear();
   doc_offsets.clear();
   max_doc_count = 0;
   if (num_encoded == 0) {
@@ -161,50 +209,22 @@ Status PostingList::FinishCompressed() {
   // BuildSkips does on a decoded list.
   doc_offsets.reserve(doc_frequency);
   Posting buffer[kSkipInterval];
-  uint32_t docs_seen = 0;
-  uint32_t nodes_seen = 0;
-  Posting prev{};
-  bool has_prev = false;
+  PostingOrderCheck check;
+  bool new_doc = false;
   for (uint32_t b = 0; b < skips.size(); ++b) {
     if (skips[b].offset != b * kSkipInterval) {
       return Status::Corruption("posting list: skip offsets not aligned");
     }
     skips[b].max_doc_count = 0;  // derived below, never trusted from disk
     TIX_RETURN_IF_ERROR(DecodeBlock(b, buffer));
-    const uint32_t count = BlockPostingCount(b);
-    for (uint32_t i = 0; i < count; ++i) {
-      const Posting& posting = buffer[i];
-      const bool new_doc = !has_prev || posting.doc_id != prev.doc_id;
+    for (uint32_t i = 0; i < BlockPostingCount(b); ++i) {
+      TIX_RETURN_IF_ERROR(check.Next(buffer[i], &new_doc));
       if (new_doc) {
-        ++docs_seen;
-        doc_offsets.emplace_back(posting.doc_id, b * kSkipInterval + i);
+        doc_offsets.emplace_back(buffer[i].doc_id, b * kSkipInterval + i);
       }
-      if (new_doc || posting.node_id != prev.node_id) ++nodes_seen;
-      if (has_prev) {
-        if (posting.doc_id < prev.doc_id) {
-          return Status::Corruption("posting list: doc ids out of order");
-        }
-        if (posting.doc_id == prev.doc_id) {
-          if (posting.word_pos <= prev.word_pos) {
-            return Status::Corruption(
-                "posting list: word positions not strictly ascending");
-          }
-          if (posting.node_id < prev.node_id) {
-            return Status::Corruption(
-                "posting list: node ids out of order within a document");
-          }
-        }
-      }
-      prev = posting;
-      has_prev = true;
     }
   }
-  if (docs_seen != doc_frequency) {
-    return Status::Corruption("posting list: doc_frequency mismatch");
-  }
-  if (nodes_seen != node_frequency) {
-    return Status::Corruption("posting list: node_frequency mismatch");
-  }
+  TIX_RETURN_IF_ERROR(check.Finish(*this));
   // Block-max metadata, straddle-safe (same rule as BuildSkips).
   for (size_t d = 0; d < doc_offsets.size(); ++d) {
     const uint32_t begin = doc_offsets[d].second;
@@ -218,7 +238,6 @@ Status PostingList::FinishCompressed() {
       skips[b].max_doc_count = std::max(skips[b].max_doc_count, count);
     }
   }
-  cache_id = DecodedBlockCache::NextListId();
   return Status::OK();
 }
 
@@ -240,22 +259,6 @@ size_t PostingList::PostingBytes() const {
   return is_mapped() ? 0 : blocks.capacity();
 }
 
-namespace {
-
-/// Random access to one posting of a compressed list, decoding exactly
-/// the covering block into a stack buffer. Only the lazy trust-mode
-/// seek paths use this; hot block iteration stays on BlockCursor and
-/// the DecodedBlockCache.
-Posting PostingAt(const PostingList& list, size_t index) {
-  const uint32_t block = static_cast<uint32_t>(index / kSkipInterval);
-  Posting buffer[kSkipInterval];
-  const Status status = list.DecodeBlock(block, buffer);
-  TIX_CHECK(status.ok()) << status.ToString();
-  return buffer[index % kSkipInterval];
-}
-
-}  // namespace
-
 size_t PostingList::LowerBoundDoc(storage::DocId doc) const {
   if (doc == 0 || empty()) return 0;
   if (!doc_offsets.empty()) {
@@ -264,30 +267,6 @@ size_t PostingList::LowerBoundDoc(storage::DocId doc) const {
         [](const std::pair<storage::DocId, uint32_t>& entry,
            storage::DocId target) { return entry.first < target; });
     return it == doc_offsets.end() ? size() : it->second;
-  }
-  if (is_compressed()) {
-    // Trust-mode open: doc_offsets were never derived. The skip
-    // directory narrows the target to one block (the last block whose
-    // first doc is before `doc` — every earlier block is entirely
-    // before it, every later one entirely at-or-after); decode just
-    // that block and search inside it.
-    const auto it = std::partition_point(
-        skips.begin(), skips.end(),
-        [doc](const SkipEntry& entry) { return entry.doc_id < doc; });
-    if (it == skips.begin()) return 0;
-    const uint32_t block =
-        static_cast<uint32_t>(it - skips.begin()) - 1;
-    Posting buffer[kSkipInterval];
-    const Status status = DecodeBlock(block, buffer);
-    TIX_CHECK(status.ok()) << status.ToString();
-    const uint32_t count = BlockPostingCount(block);
-    const auto pos = std::lower_bound(
-        buffer, buffer + count, doc,
-        [](const Posting& posting, storage::DocId target) {
-          return posting.doc_id < target;
-        });
-    return size_t{block} * kSkipInterval +
-           static_cast<size_t>(pos - buffer);
   }
   // Acceleration structures not built (hand-assembled decoded list):
   // binary search the postings directly.
@@ -313,10 +292,6 @@ uint32_t PostingList::DocPostingCount(storage::DocId doc) const {
     return next - it->second;
   }
   const size_t lo = LowerBoundDoc(doc);
-  if (is_compressed()) {
-    if (lo >= num_encoded || PostingAt(*this, lo).doc_id != doc) return 0;
-    return static_cast<uint32_t>(LowerBoundDoc(doc + 1) - lo);
-  }
   if (lo >= postings.size() || postings[lo].doc_id != doc) return 0;
   return static_cast<uint32_t>(LowerBoundDoc(doc + 1) - lo);
 }
@@ -331,9 +306,6 @@ storage::DocId PostingList::FirstDocAtOrAfter(storage::DocId doc) const {
     return it == doc_offsets.end() ? UINT32_MAX : it->first;
   }
   const size_t pos = LowerBoundDoc(doc);
-  if (is_compressed()) {
-    return pos < num_encoded ? PostingAt(*this, pos).doc_id : UINT32_MAX;
-  }
   return pos < postings.size() ? postings[pos].doc_id : UINT32_MAX;
 }
 
@@ -375,79 +347,24 @@ size_t PostingList::SkipForward(size_t from, storage::DocId doc,
 }
 
 Status PostingList::DebugCheckSorted() const {
-  if (is_compressed()) {
-    // FinishCompressed performs this exact validation while deriving the
-    // metadata; re-running it on demand re-decodes each block once.
-    Posting buffer[kSkipInterval];
-    uint32_t docs_seen = 0;
-    uint32_t nodes_seen = 0;
-    Posting prev{};
-    bool has_prev = false;
-    for (uint32_t b = 0; b < num_blocks(); ++b) {
-      TIX_RETURN_IF_ERROR(DecodeBlock(b, buffer));
-      const uint32_t count = BlockPostingCount(b);
-      for (uint32_t i = 0; i < count; ++i) {
-        const Posting& posting = buffer[i];
-        const bool new_doc = !has_prev || posting.doc_id != prev.doc_id;
-        if (new_doc) ++docs_seen;
-        if (new_doc || posting.node_id != prev.node_id) ++nodes_seen;
-        if (has_prev) {
-          if (posting.doc_id < prev.doc_id) {
-            return Status::Corruption("posting list: doc ids out of order");
-          }
-          if (posting.doc_id == prev.doc_id) {
-            if (posting.word_pos <= prev.word_pos) {
-              return Status::Corruption(
-                  "posting list: word positions not strictly ascending");
-            }
-            if (posting.node_id < prev.node_id) {
-              return Status::Corruption(
-                  "posting list: node ids out of order within a document");
-            }
-          }
-        }
-        prev = posting;
-        has_prev = true;
-      }
+  PostingOrderCheck check;
+  bool new_doc = false;
+  if (!is_compressed()) {
+    for (const Posting& posting : postings) {
+      TIX_RETURN_IF_ERROR(check.Next(posting, &new_doc));
     }
-    if (docs_seen != doc_frequency) {
-      return Status::Corruption("posting list: doc_frequency mismatch");
-    }
-    if (nodes_seen != node_frequency) {
-      return Status::Corruption("posting list: node_frequency mismatch");
-    }
-    return Status::OK();
+    return check.Finish(*this);
   }
-  uint32_t docs_seen = 0;
-  uint32_t nodes_seen = 0;
-  for (size_t i = 0; i < postings.size(); ++i) {
-    const Posting& posting = postings[i];
-    const bool new_doc = i == 0 || posting.doc_id != postings[i - 1].doc_id;
-    if (new_doc) ++docs_seen;
-    if (new_doc || posting.node_id != postings[i - 1].node_id) ++nodes_seen;
-    if (i == 0) continue;
-    const Posting& prev = postings[i - 1];
-    if (posting.doc_id < prev.doc_id) {
-      return Status::Corruption("posting list: doc ids out of order");
-    }
-    if (posting.doc_id == prev.doc_id) {
-      if (posting.word_pos <= prev.word_pos) {
-        return Status::Corruption(
-            "posting list: word positions not strictly ascending");
-      }
-      if (posting.node_id < prev.node_id) {
-        return Status::Corruption(
-            "posting list: node ids out of order within a document");
-      }
+  // FinishCompressed performs this exact validation while deriving the
+  // metadata; re-running it on demand re-decodes each block once.
+  Posting buffer[kSkipInterval];
+  for (uint32_t b = 0; b < num_blocks(); ++b) {
+    TIX_RETURN_IF_ERROR(DecodeBlock(b, buffer));
+    for (uint32_t i = 0; i < BlockPostingCount(b); ++i) {
+      TIX_RETURN_IF_ERROR(check.Next(buffer[i], &new_doc));
     }
   }
-  if (docs_seen != doc_frequency) {
-    return Status::Corruption("posting list: doc_frequency mismatch");
-  }
-  if (nodes_seen != node_frequency) {
-    return Status::Corruption("posting list: node_frequency mismatch");
-  }
-  return Status::OK();
+  return check.Finish(*this);
 }
 
 Result<InvertedIndex> InvertedIndex::Build(storage::Database* db,
@@ -519,6 +436,7 @@ Result<InvertedIndex> InvertedIndex::BuildForDocRange(
     } else {
       list.BuildSkips();
     }
+    out.CountDocIndex(list);
   }
   db->node_store().ResetCounters();
   return out;
@@ -562,6 +480,7 @@ Result<InvertedIndex> InvertedIndex::FromPostings(
     }
     TIX_RETURN_IF_ERROR(dst.DebugCheckSorted());
     dst.Compress(tail_format);
+    out.CountDocIndex(dst);
   }
   out.stats_.num_terms = out.lists_.size();
   return out;
@@ -574,14 +493,37 @@ const PostingList* InvertedIndex::Lookup(std::string_view term) const {
   const std::string normalized = tokenizer.Normalize(term);
   const text::TermId id = dictionary_.Lookup(normalized);
   if (id == text::kInvalidTermId) return nullptr;
-  return &lists_[id];
+  return Ready(id);
 }
 
 const PostingList* InvertedIndex::LookupId(text::TermId id) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   obs::Count(obs::Counter::kIndexLookups);
   if (id >= lists_.size()) return nullptr;
-  return &lists_[id];
+  return Ready(id);
+}
+
+const PostingList* InvertedIndex::Ready(text::TermId id) const {
+  PostingList& list = lists_[id];
+  if (ready_.empty() || ready_[id].load(std::memory_order_acquire)) {
+    return &list;
+  }
+  std::lock_guard<std::mutex> lock(doc_index_mu_);
+  if (!ready_[id].load(std::memory_order_relaxed)) {
+    const Status status = list.FinishCompressed();
+    TIX_CHECK(status.ok()) << "posting list " << id << ": "
+                           << status.ToString();
+    CountDocIndex(list);
+    ready_[id].store(true, std::memory_order_release);
+  }
+  return &list;
+}
+
+void InvertedIndex::CountDocIndex(const PostingList& list) const {
+  doc_index_lists_.fetch_add(1, std::memory_order_relaxed);
+  doc_index_bytes_.fetch_add(
+      list.doc_offsets.capacity() * sizeof(list.doc_offsets[0]),
+      std::memory_order_relaxed);
 }
 
 uint64_t InvertedIndex::TermFrequency(std::string_view term) const {
@@ -614,12 +556,13 @@ std::vector<std::string> InvertedIndex::TermsWithFrequencyBetween(
 }
 
 IndexResidency InvertedIndex::MemoryUsage() const {
+  std::lock_guard<std::mutex> lock(doc_index_mu_);  // no list mid-build
   IndexResidency out;
   for (const PostingList& list : lists_) {
     out.postings_bytes += list.PostingBytes();
     out.skip_bytes += list.skips.capacity() * sizeof(SkipEntry);
-    out.doc_offset_bytes += list.doc_offsets.capacity() *
-                            sizeof(std::pair<storage::DocId, uint32_t>);
+    out.doc_offset_bytes +=
+        list.doc_offsets.capacity() * sizeof(list.doc_offsets[0]);
     out.num_postings += list.size();
     if (list.is_compressed()) {
       ++out.compressed_lists;
@@ -944,24 +887,21 @@ Result<InvertedIndex> InvertedIndex::LoadFromFile(const std::string& path,
   // open has an O(bytes) scrub worth skipping.
   const bool verify = options.verify_on_open || options.decode_postings ||
                       out.format_version_ < 3;
+  // Trust mode: no decode at open; each list's FinishCompressed pass
+  // runs on its first lookup instead (Ready()).
+  if (!verify) out.ready_ = std::vector<std::atomic<bool>>(num_lists);
   for (PostingList& list : out.lists_) {
     if (list.is_compressed() || (list.postings.empty() &&
                                  list.num_encoded == 0 &&
                                  !options.decode_postings)) {
+      if (list.num_encoded > 0) {
+        list.cache_id = DecodedBlockCache::NextListId();
+      }
       if (verify) {
         TIX_RETURN_IF_ERROR(list.FinishCompressed());
-      } else if (list.num_encoded > 0) {
-        // Trust mode: no decode at open. doc_offsets stay empty (the
-        // seek paths decode single blocks lazily) and block-max bounds
-        // become the never-prune sentinel — UINT32_MAX is always a
-        // valid upper bound, whereas 0 would wrongly prune every block.
-        if (list.skips.size() != list.num_blocks()) {
-          return Status::Corruption(
-              "posting list: block directory size mismatch");
-        }
-        list.max_doc_count = UINT32_MAX;
-        for (SkipEntry& skip : list.skips) skip.max_doc_count = UINT32_MAX;
-        list.cache_id = DecodedBlockCache::NextListId();
+      } else if (list.skips.size() != list.num_blocks()) {
+        return Status::Corruption(
+            "posting list: block directory size mismatch");
       }
       if (options.decode_postings) {
         // Validated above; now expand to the legacy representation and
@@ -986,6 +926,7 @@ Result<InvertedIndex> InvertedIndex::LoadFromFile(const std::string& path,
       TIX_RETURN_IF_ERROR(list.DebugCheckSorted());
       list.BuildSkips();
     }
+    if (verify) out.CountDocIndex(list);
   }
   if (mapping != nullptr) out.mapping_ = std::move(mapping);
   return out;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,12 +44,13 @@
 /// one, LoadFromFile mmaps the file read-only and serves posting blocks
 /// straight from the mapping (no copy, no posting materialization; see
 /// storage/mapped_file.h). The streaming validation pass that derives
-/// `doc_offsets` / block-max metadata is optional
-/// (IndexLoadOptions::verify_on_open); skipping it makes open O(lists)
-/// instead of O(bytes). Versions 1 and 2 (flat delta-coded postings,
-/// derived skips) are still read: their postings are transcoded into
-/// owned v4 blocks through a 128-posting window, so even legacy loads
-/// never hold a full decoded vector.
+/// `doc_offsets` / block-max metadata runs at open by default
+/// (IndexLoadOptions::verify_on_open); a trust open defers it to each
+/// list's first lookup, which makes open O(lists) instead of O(bytes).
+/// Versions 1 and 2 (flat delta-coded postings, derived skips) are still
+/// read: their postings are transcoded into owned v4 blocks through a
+/// 128-posting window, so even legacy loads never hold a full decoded
+/// vector.
 
 namespace tix::storage {
 class MappedFile;
@@ -122,7 +124,9 @@ struct SkipEntry {
 ///    only through BlockCursor (or DecodeAll), which decodes one block
 ///    at a time; the seek paths (LowerBoundDoc / SkipForward /
 ///    BlockBoundAt / DocPostingCount / FirstDocAtOrAfter) run entirely
-///    on skip metadata and never decode.
+///    on `skips` and `doc_offsets` and never decode. Every list an
+///    InvertedIndex lookup returns carries both, with exact block-max
+///    bounds (a trust open builds them on the list's first lookup).
 struct PostingList {
   /// Decoded representation; empty once compressed.
   std::vector<Posting> postings;
@@ -146,7 +150,7 @@ struct PostingList {
   /// Posting count of the compressed representation.
   uint32_t num_encoded = 0;
   /// Process-unique identity in the DecodedBlockCache (0 = never
-  /// cached). Minted by Compress()/FinishCompressed(), never reused.
+  /// cached). Minted by Compress() or the loader, never reused.
   uint64_t cache_id = 0;
   /// Wire encoding of the block tails (set by Compress() or the loader;
   /// meaningless on decoded lists). DecodeBlock dispatches on it, so a
@@ -205,7 +209,9 @@ struct PostingList {
   /// per-block SkipEntry head/byte_offset, frequencies) were populated
   /// externally (the loader): one streaming decode pass validates block
   /// framing and posting order, and derives `doc_offsets` plus block-max
-  /// metadata. Returns Corruption on any violation.
+  /// metadata. Returns Corruption on any violation. Leaves `cache_id`
+  /// alone: the loader mints it, whether the pass runs at open or on the
+  /// list's first lookup (trust mode).
   Status FinishCompressed();
 
   /// Decodes block `block` into `out` (capacity >= BlockPostingCount).
@@ -223,9 +229,8 @@ struct PostingList {
   size_t PostingBytes() const;
 
   /// Index of the first posting with doc_id >= doc. Uses `doc_offsets`
-  /// when built; on a compressed list without them (trust-mode open)
-  /// the skip directory narrows the target to one block, which is
-  /// decoded on the spot; else binary-searches the postings directly.
+  /// when built; else (a hand-built decoded list) binary-searches the
+  /// postings directly.
   size_t LowerBoundDoc(storage::DocId doc) const;
 
   /// First index >= `from` whose posting is at or beyond
@@ -241,9 +246,8 @@ struct PostingList {
   uint32_t DocPostingCount(storage::DocId doc) const;
 
   /// Smallest doc id >= `doc` with at least one posting, or UINT32_MAX
-  /// when none. Pure metadata on lists with doc_offsets — never decodes
-  /// a block (the top-K oracle's candidate hop). Trust-mode lists
-  /// decode at most two blocks.
+  /// when none. Pure metadata — never decodes a block (the top-K
+  /// oracle's candidate hop).
   storage::DocId FirstDocAtOrAfter(storage::DocId doc) const;
 
   /// Upper bound on the per-document posting count for every document in
@@ -319,11 +323,15 @@ struct IndexLoadOptions {
   /// validates block framing and posting order and derives doc_offsets
   /// plus block-max metadata — an O(bytes) decode of the whole index.
   /// When off ("trust mode": tixd restart of an index it just sealed),
-  /// open cost is O(lists): headers and the block directory are parsed,
-  /// blocks are mapped but never decoded, doc_offsets stay empty (seek
-  /// paths lazily decode single blocks instead) and block-max bounds
-  /// degrade to the never-prune sentinel UINT32_MAX, so query results
-  /// are byte-identical either way. `tix_cli verify` forces this on.
+  /// open cost is O(lists): headers and the block directory are parsed
+  /// and blocks are mapped but never decoded. Each list then runs the
+  /// same pass the first time Lookup/LookupId returns it, so every
+  /// returned list carries doc_offsets and exact block-max bounds, and
+  /// results and pruning are identical either way. Resident doc_offsets
+  /// grow with the lists touched, up to what a verify open holds. A
+  /// corrupt list found on first lookup aborts (TIX_CHECK), as a
+  /// corrupt block does when BlockCursor decodes it. `tix_cli verify`
+  /// forces this on.
   bool verify_on_open = true;
   /// Map v3 files read-only and decode in place instead of copying the
   /// block bytes into owned buffers. Benches turn this off to measure
@@ -358,6 +366,11 @@ class InvertedIndex {
       tail_format_ = other.tail_format_;
       lookups_.store(other.lookups_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
+      ready_ = std::move(other.ready_);
+      doc_index_lists_.store(other.doc_index_lists(),
+                             std::memory_order_relaxed);
+      doc_index_bytes_.store(other.doc_index_bytes(),
+                             std::memory_order_relaxed);
       // Moved-from containers are only "valid but unspecified"; reset
       // everything explicitly so the source is truly empty.
       other.dictionary_ = text::TermDictionary();
@@ -368,6 +381,9 @@ class InvertedIndex {
       other.format_version_ = kCurrentFormatVersion;
       other.tail_format_ = codec::TailFormat::kV4;
       other.lookups_.store(0, std::memory_order_relaxed);
+      other.ready_.clear();
+      other.doc_index_lists_.store(0, std::memory_order_relaxed);
+      other.doc_index_bytes_.store(0, std::memory_order_relaxed);
     }
     return *this;
   }
@@ -411,7 +427,9 @@ class InvertedIndex {
 
   /// Postings for a term (already normalized by the caller or not — the
   /// lookup normalizes with the same tokenizer options used at build).
-  /// nullptr when the term does not occur.
+  /// nullptr when the term does not occur. After a trust open, the
+  /// first lookup of a list builds its doc index (see
+  /// IndexLoadOptions::verify_on_open); concurrent lookups are safe.
   const PostingList* Lookup(std::string_view term) const;
 
   const PostingList* LookupId(text::TermId id) const;
@@ -442,6 +460,17 @@ class InvertedIndex {
   /// every list (capacity-based for vectors).
   IndexResidency MemoryUsage() const;
 
+  /// Lists whose doc index (doc_offsets + exact block-max bounds) is
+  /// built, and the doc_offsets bytes they hold: every list after a
+  /// verify open or an in-memory build; after a trust open, the lists
+  /// looked up so far.
+  uint64_t doc_index_lists() const {
+    return doc_index_lists_.load(std::memory_order_relaxed);
+  }
+  uint64_t doc_index_bytes() const {
+    return doc_index_bytes_.load(std::memory_order_relaxed);
+  }
+
   /// On-disk format version this index was loaded from (or the version
   /// matching the build tail format for a freshly built one).
   int format_version() const { return format_version_; }
@@ -469,8 +498,25 @@ class InvertedIndex {
   }
 
  private:
+  /// `lists_[id]`, with its doc index built first if a trust open left
+  /// it pending.
+  const PostingList* Ready(text::TermId id) const;
+  /// Adds one built list to the doc_index_* counters.
+  void CountDocIndex(const PostingList& list) const;
+
   text::TermDictionary dictionary_;
-  std::vector<PostingList> lists_;  // indexed by TermId
+  /// Indexed by TermId. Mutable only for the deferred FinishCompressed
+  /// pass, which writes a pending list's doc_offsets and block-max
+  /// fields under `doc_index_mu_` before publishing it through `ready_`.
+  mutable std::vector<PostingList> lists_;
+  /// Per-list "doc index built" flags (stored with release after the
+  /// build, loaded with acquire by lookups). Empty when every list is
+  /// ready, i.e. always except after a trust open.
+  mutable std::vector<std::atomic<bool>> ready_;
+  /// Serializes deferred builds, and MemoryUsage against them.
+  mutable std::mutex doc_index_mu_;
+  mutable std::atomic<uint64_t> doc_index_lists_{0};
+  mutable std::atomic<uint64_t> doc_index_bytes_{0};
   std::shared_ptr<storage::MappedFile> mapping_;
   IndexStats stats_;
   text::TokenizerOptions tokenizer_options_;

@@ -506,6 +506,13 @@ SegmentedIndexStats SegmentedIndex::Stats() const {
       ++stats.segments_v4;
     }
   }
+  if (snapshot_ != nullptr) {
+    for (const std::shared_ptr<const Segment>& segment :
+         snapshot_->segments_) {
+      stats.doc_index_lists += segment->index().doc_index_lists();
+      stats.doc_index_bytes += segment->index().doc_index_bytes();
+    }
+  }
   return stats;
 }
 

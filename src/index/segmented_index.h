@@ -114,6 +114,11 @@ struct SegmentedIndexStats {
   /// transcoded-to format, v4).
   uint64_t segments_v3 = 0;
   uint64_t segments_v4 = 0;
+  /// Lists with a built doc index, and its bytes, over every segment
+  /// (buffer included; see InvertedIndex::doc_index_lists). After a
+  /// trust open these grow with the lists queries touch.
+  uint64_t doc_index_lists = 0;
+  uint64_t doc_index_bytes = 0;
 };
 
 /// The mutable coordinator: owns the manifest, the sealed segments, the

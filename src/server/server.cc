@@ -763,6 +763,8 @@ std::string TixServer::StatsJson() const {
     AppendJsonField(&out, "compactions", seg.compactions, &first);
     AppendJsonField(&out, "segments_v3", seg.segments_v3, &first);
     AppendJsonField(&out, "segments_v4", seg.segments_v4, &first);
+    AppendJsonField(&out, "doc_index_lists", seg.doc_index_lists, &first);
+    AppendJsonField(&out, "doc_index_bytes", seg.doc_index_bytes, &first);
     out += "}";
   }
   // The decode kernel is a string, so it can't go through the numeric

@@ -1,8 +1,10 @@
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,8 +24,9 @@
 ///  - a v3 open maps the file and performs zero posting-byte reads,
 ///    while the copy fallback reads the file exactly once (never the
 ///    old double-buffered 2x);
-///  - trust-mode opens (verify_on_open = false) answer every seek and
-///    every query byte-identically to scrubbed opens, serial and
+///  - trust-mode opens (verify_on_open = false) build each list's doc
+///    index on its first lookup, race-free, and then answer every seek
+///    and every query byte-identically to scrubbed opens, serial and
 ///    parallel, with and without top-K pushdown;
 ///  - saving from a mapped index round-trips;
 ///  - truncated files fail closed even without the scrub;
@@ -159,8 +162,8 @@ TEST(MmapOpenTest, CopyFallbackReadsExactlyOnce) {
 
 // Every seek primitive and every query path must answer identically
 // whether the open scrubbed (doc_offsets + exact block-max bounds) or
-// trusted (lazy seeks + never-prune bounds). This is the contract that
-// makes tixd's fast restart safe.
+// trusted (the same metadata, built on each list's first lookup). This
+// is the contract that makes tixd's fast restart safe.
 TEST(MmapOpenTest, TrustAndVerifyOpensAnswerIdentically) {
   for (uint64_t seed : {7u, 23u, 99u}) {
     auto corpus = MakeCorpusDb(/*articles=*/10, /*seed=*/seed);
@@ -174,16 +177,25 @@ TEST(MmapOpenTest, TrustAndVerifyOpensAnswerIdentically) {
     InvertedIndex trusted = Unwrap(InvertedIndex::LoadFromFile(path, trust_load));
     const std::string label_base = "seed=" + std::to_string(seed);
 
-    // The trust-mode shape: no doc_offsets, sentinel bounds.
+    // The trust-mode shape: the open derived nothing (O(lists)); a
+    // lookup hands out exactly the metadata the scrub derives.
     ASSERT_EQ(trusted.stats().num_terms, verified.stats().num_terms);
+    EXPECT_EQ(trusted.MemoryUsage().doc_offset_bytes, 0u) << label_base;
+    EXPECT_EQ(trusted.doc_index_lists(), 0u) << label_base;
+    EXPECT_EQ(verified.doc_index_lists(), verified.stats().num_terms);
     const storage::DocId num_docs =
         static_cast<storage::DocId>(verified.stats().num_documents);
     for (text::TermId id = 0; id < trusted.stats().num_terms; ++id) {
       const PostingList* t = trusted.LookupId(id);
       const PostingList* v = verified.LookupId(id);
-      EXPECT_TRUE(t->doc_offsets.empty());
+      EXPECT_EQ(t->doc_offsets, v->doc_offsets) << label_base << " " << id;
+      EXPECT_EQ(t->max_doc_count, v->max_doc_count) << label_base;
+      ASSERT_EQ(t->skips.size(), v->skips.size()) << label_base;
+      for (size_t b = 0; b < t->skips.size(); ++b) {
+        EXPECT_EQ(t->skips[b].max_doc_count, v->skips[b].max_doc_count)
+            << label_base << " term " << id << " block " << b;
+      }
       if (!t->empty()) {
-        EXPECT_EQ(t->max_doc_count, UINT32_MAX);
         EXPECT_GT(t->cache_id, 0u);
       }
       ASSERT_EQ(t->DecodeAll(), v->DecodeAll())
@@ -197,16 +209,17 @@ TEST(MmapOpenTest, TrustAndVerifyOpensAnswerIdentically) {
             << label_base << " term " << id << " doc " << doc;
         const PostingList::BlockBound tb = t->BlockBoundAt(doc);
         const PostingList::BlockBound vb = v->BlockBoundAt(doc);
-        // Trust-mode bounds are never tighter than exact ones (they
-        // may not prune, but must never prune wrongly); the window
-        // geometry comes from the shared skip directory and matches.
-        EXPECT_GE(tb.max_doc_count, vb.max_doc_count) << label_base;
+        EXPECT_EQ(tb.max_doc_count, vb.max_doc_count) << label_base;
         EXPECT_EQ(tb.window_end, vb.window_end) << label_base;
       }
     }
+    EXPECT_EQ(trusted.doc_index_lists(), verified.doc_index_lists());
+    EXPECT_EQ(trusted.doc_index_bytes(), verified.doc_index_bytes());
+    EXPECT_EQ(trusted.MemoryUsage().doc_offset_bytes,
+              verified.MemoryUsage().doc_offset_bytes);
 
     // Query equivalence: serial, parallel, and top-K pushdown (which
-    // exercises the ScoreBoundOracle against the sentinel bounds).
+    // exercises the ScoreBoundOracle against the lazily built bounds).
     const algebra::IrPredicate predicate = ThreePhrasePredicate();
     const algebra::WeightedCountScorer scorer(predicate.Weights());
     exec::TermJoin join_v(corpus->db.get(), &verified, &predicate, &scorer);
@@ -235,6 +248,89 @@ TEST(MmapOpenTest, TrustAndVerifyOpensAnswerIdentically) {
       }
     }
   }
+}
+
+// The doc index of a trust-opened list is built by whichever lookup
+// comes first. Eight threads race those first lookups on the same
+// untouched lists — through top-K ParallelTermJoin (whose own workers
+// look the lists up again) and through DocPostingCount — while
+// MemoryUsage walks every list. Each list must be built exactly once,
+// and every answer must equal a verify open's. TSan checks the
+// publication (scripts/check_sanitizers.sh).
+TEST(MmapOpenTest, ConcurrentFirstLookupsOfATrustOpenAgreeWithVerify) {
+  auto corpus = MakeCorpusDb(/*articles=*/12, /*seed=*/41);
+  InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
+  const std::string path = corpus->dir.path() + "/v3.tix";
+  ExpectOk(built.SaveToFile(path));
+  InvertedIndex verified = Unwrap(InvertedIndex::LoadFromFile(path));
+  IndexLoadOptions trust_load;
+  trust_load.verify_on_open = false;
+  InvertedIndex trusted = Unwrap(InvertedIndex::LoadFromFile(path, trust_load));
+
+  const algebra::IrPredicate predicate = ThreePhrasePredicate();
+  const algebra::WeightedCountScorer scorer(predicate.Weights());
+  exec::ParallelTermJoinOptions options;
+  algebra::ThresholdSpec spec;
+  spec.top_k = 4;
+  options.join.threshold = spec;
+  options.num_partitions = 3;
+  options.num_threads = 2;
+  const std::vector<exec::ScoredElement> expected = Unwrap(
+      exec::ParallelTermJoin(corpus->db.get(), &verified, &predicate, &scorer,
+                             options)
+          .Run());
+  const std::vector<std::string> terms = {"xq1", "xq2", "xpa", "xpb"};
+  const storage::DocId num_docs =
+      static_cast<storage::DocId>(verified.stats().num_documents);
+  std::vector<uint32_t> expected_counts;
+  uint64_t expected_bytes = 0;
+  for (const std::string& term : terms) {
+    const PostingList* list = verified.Lookup(term);
+    ASSERT_NE(list, nullptr) << term;
+    expected_bytes += list->doc_offsets.capacity() * sizeof(list->doc_offsets[0]);
+    for (storage::DocId doc = 0; doc <= num_docs; ++doc) {
+      expected_counts.push_back(list->DocPostingCount(doc));
+    }
+  }
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<exec::ScoredElement>> results(kThreads);
+  std::vector<std::vector<uint32_t>> counts(kThreads);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      const auto run_join = [&] {
+        results[t] = Unwrap(exec::ParallelTermJoin(corpus->db.get(), &trusted,
+                                                   &predicate, &scorer, options)
+                                .Run());
+      };
+      // Half the threads start with the join, half with the counts, so
+      // both paths take first lookups.
+      if (t % 2 == 0) run_join();
+      (void)trusted.MemoryUsage();
+      for (const std::string& term : terms) {
+        const PostingList* list = trusted.Lookup(term);
+        for (storage::DocId doc = 0; doc <= num_docs; ++doc) {
+          counts[t].push_back(list->DocPostingCount(doc));
+        }
+      }
+      if (t % 2 == 1) run_join();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const std::string label = "thread " + std::to_string(t);
+    ExpectIdentical(results[t], expected, label);
+    EXPECT_EQ(counts[t], expected_counts) << label;
+  }
+  // Built once each: four lists, exactly a verify open's bytes for them.
+  EXPECT_EQ(trusted.doc_index_lists(), terms.size());
+  EXPECT_EQ(trusted.doc_index_bytes(), expected_bytes);
+  EXPECT_EQ(trusted.MemoryUsage().doc_offset_bytes, expected_bytes);
 }
 
 // SaveToFile from a mapped index copies tails through the

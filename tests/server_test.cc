@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "common/string_util.h"
 #include "index/inverted_index.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -593,6 +595,41 @@ TEST_F(ServerTest, WorkCountersRollUpAcrossSessions) {
   // root context must have accumulated that session work.
   EXPECT_GT(server->WorkCounter(obs::Counter::kIndexLookups), 0u);
   EXPECT_GT(server->WorkCounter(obs::Counter::kRecordFetches), 0u);
+}
+
+/// The unsigned value of `"key":` in a flat STATS JSON body.
+uint64_t JsonCounter(const std::string& json, const std::string& key) {
+  const size_t at = json.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " in " << json;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(json.substr(at + key.size() + 3));
+}
+
+// A trust open builds each posting list's doc index on its first
+// lookup; STATS shows how much of the index is warm and what it costs.
+TEST_F(ServerTest, StatsReportDocIndexBuiltOnFirstLookup) {
+  const std::string seg_dir = dir_.path() + "/seg";
+  ASSERT_TRUE(std::filesystem::create_directory(seg_dir));
+  ExpectOk(index_->SaveToFile(seg_dir + "/index.tix"));
+  index::SegmentedIndexOptions options;
+  options.load.verify_on_open = false;
+  std::unique_ptr<index::SegmentedIndex> segmented =
+      Unwrap(index::SegmentedIndex::Open(seg_dir, options));
+  TixServer server(db_.get(), segmented.get(), ServerOptions{});
+  ExpectOk(server.Start());
+  Client client = ConnectTo(server);
+
+  const std::string fresh = Unwrap(client.Stats());
+  EXPECT_EQ(JsonCounter(fresh, "doc_index_lists"), 0u);
+  EXPECT_EQ(JsonCounter(fresh, "doc_index_bytes"), 0u);
+
+  Unwrap(client.Query(Queries()[1]));
+  const std::string warm = Unwrap(client.Stats());
+  EXPECT_GT(JsonCounter(warm, "doc_index_lists"), 0u);
+  EXPECT_GT(JsonCounter(warm, "doc_index_bytes"), 0u);
+  EXPECT_LT(JsonCounter(warm, "doc_index_lists"), index_->stats().num_terms);
+  server.Stop();
 }
 
 }  // namespace

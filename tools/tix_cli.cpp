@@ -29,8 +29,9 @@
 // default is the built-in budget (16 MiB).
 //
 // --trust-index skips the O(bytes) validation scrub when opening an
-// index or segments (the mode tixd restarts use — see docs/INDEX.md).
-// Results are identical; open is O(lists) instead of O(bytes). The
+// index or segments (the mode tixd restarts use — see docs/INDEX.md);
+// each posting list is scrubbed on its first lookup instead. Results
+// are identical; open is O(lists) instead of O(bytes). The
 // `verify` command ignores the flag and always scrubs.
 //
 // --index-format={v3,v4} picks the posting-block tail encoding written

@@ -156,9 +156,9 @@ int main(int argc, char** argv) {
     }
     db = std::move(opened.value());
     // Trust-mode open: the segments were sealed (and validated) by this
-    // server or by tix_cli; skipping the O(bytes) scrub makes restart
-    // latency independent of index size. `tix_cli verify` remains the
-    // full-scrub path.
+    // server or by tix_cli; deferring the O(bytes) scrub to each posting
+    // list's first lookup makes restart latency independent of index
+    // size. `tix_cli verify` remains the full-scrub path.
     tix::index::SegmentedIndexOptions segmented_options;
     segmented_options.load.verify_on_open = false;
     auto seg = tix::index::SegmentedIndex::Open(db_dir, segmented_options);
