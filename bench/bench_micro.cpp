@@ -98,18 +98,27 @@ BENCHMARK(BM_BufferPoolHit);
 
 void BM_PhraseFinderStream(benchmark::State& state) {
   // A rare anchor term against a frequent second term: the case where
-  // galloping advance (arg 1) beats the linear merge (arg 0).
+  // galloping advance (arg 1) beats the linear merge (arg 0). Text node
+  // k spans positions [5000k, 5000k + 5000); every anchor at 2500i is
+  // followed by the second term at 2500i + 1, so all 200 match.
   const bool galloping = state.range(0) != 0;
-  tix::index::PostingList list1;
-  tix::index::PostingList list2;
+  std::vector<tix::index::Posting> postings1;
+  std::vector<tix::index::Posting> postings2;
   for (uint32_t i = 0; i < 200; ++i) {
-    list1.postings.push_back({0, i, i * 500});
+    postings1.push_back({0, i / 2, i * 2500});
   }
   for (uint32_t i = 0; i < 100000; ++i) {
-    list2.postings.push_back({0, i / 1000, i + (i % 500 == 1 ? 0 : 7)});
+    postings2.push_back({0, i / 1000, i * 5 + 1});
+  }
+  const auto list1 = tix::index::PostingList::Build(postings1);
+  const auto list2 = tix::index::PostingList::Build(postings2);
+  if (!list1.ok() || !list2.ok()) {
+    state.SkipWithError("unsorted postings");
+    return;
   }
   for (auto _ : state) {
-    tix::exec::PhraseFinderStream stream({&list1, &list2}, galloping);
+    tix::exec::PhraseFinderStream stream({&list1.value(), &list2.value()},
+                                         galloping);
     size_t matches = 0;
     while (stream.Peek().has_value()) {
       ++matches;

@@ -22,10 +22,11 @@
 # so ASan/UBSan sees any out-of-mapping read) and the truncation
 # fail-closed sweep; storage_test's concurrent AtomicWriteFile race is
 # TSan's view of the unique-tmp rename protocol. codec_test is the
-# decode-kernel differential fuzz: the SWAR and SSSE3 shuffle kernels
-# use wide loads with explicit tail guards, and running the
-# every-prefix-truncation and random-garbage sweeps under ASan is the
-# proof those guards never read past the posting block.
+# decode-kernel differential fuzz: the v4 SSSE3 shuffle kernel's 16-byte
+# loads and the portable v4 loop's masked 4-byte loads carry explicit
+# end-of-buffer guards, and running the every-prefix-truncation and
+# random-garbage sweeps under ASan is the proof those guards never read
+# past the posting block.
 #
 #   scripts/check_sanitizers.sh [extra ctest args...]
 set -euo pipefail
@@ -39,7 +40,7 @@ run_preset() {
   echo "== ${sanitize} (${dir}) =="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTIX_SANITIZE="${sanitize}" > /dev/null
-  cmake --build "${dir}" -j --target "${TARGETS[@]}"
+  cmake --build "${dir}" -j"$(nproc)" --target "${TARGETS[@]}"
   (cd "${dir}" && ctest --output-on-failure -R "${FILTER}" "$@")
 }
 

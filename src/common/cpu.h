@@ -3,10 +3,10 @@
 
 /// \file
 /// Runtime CPU feature probe. The decode-kernel dispatcher in
-/// common/block_codec.cc consults this once to decide whether the
-/// SSSE3/SSE4.1 shuffle-table kernels are safe to run on this machine.
+/// common/block_codec.cc consults this once to decide whether the v4
+/// SSSE3/SSE4.1 shuffle-table kernel is safe to run on this machine.
 /// On non-x86 builds every SIMD bit reports false and the dispatcher
-/// falls back to the portable SWAR kernel.
+/// falls back to the portable v4 loop.
 
 namespace tix::cpu {
 

@@ -63,9 +63,9 @@ enum class Counter : int {
   /// gossip settings; exported in STATS so external processes can read
   /// it without EXPLAIN.
   kTermJoinOccurrences = 14,
-  /// Of kIndexBlocksDecoded, the blocks served by the SIMD decode
-  /// kernel (EXPLAIN shows which kernel answered a query; zero means
-  /// the scalar or SWAR kernel was active).
+  /// Of kIndexBlocksDecoded, the blocks the SIMD decode kernel decoded:
+  /// v4 blocks on a CPU with SSSE3/SSE4.1. v3 blocks, and v4 blocks on
+  /// other CPUs, decode with the scalar loop and are not counted.
   kIndexBlocksDecodedSimd = 15,
 };
 

@@ -28,24 +28,15 @@ std::vector<DocRange> PlanDocPartitions(const index::InvertedIndex& index,
   for (const algebra::WeightedPhrase& phrase : predicate.phrases) {
     for (const std::string& term : phrase.terms) {
       const index::PostingList* list = index.Lookup(term);
-      if (list == nullptr || list->empty()) continue;
-      if (!list->doc_offsets.empty()) {
-        for (size_t i = 0; i < list->doc_offsets.size(); ++i) {
-          const auto& [doc, offset] = list->doc_offsets[i];
-          const uint32_t next = i + 1 < list->doc_offsets.size()
-                                    ? list->doc_offsets[i + 1].second
-                                    : static_cast<uint32_t>(list->size());
-          if (doc >= lo && doc < hi) {
-            mass[doc - lo] += next - offset;
-            total += next - offset;
-          }
-        }
-      } else {
-        for (const index::Posting& posting : list->postings) {
-          if (posting.doc_id >= lo && posting.doc_id < hi) {
-            ++mass[posting.doc_id - lo];
-            ++total;
-          }
+      if (list == nullptr) continue;
+      for (size_t i = 0; i < list->doc_offsets.size(); ++i) {
+        const auto& [doc, offset] = list->doc_offsets[i];
+        const uint32_t next = i + 1 < list->doc_offsets.size()
+                                  ? list->doc_offsets[i + 1].second
+                                  : static_cast<uint32_t>(list->size());
+        if (doc >= lo && doc < hi) {
+          mass[doc - lo] += next - offset;
+          total += next - offset;
         }
       }
     }

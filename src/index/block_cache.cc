@@ -43,9 +43,9 @@ void DecodedBlockCache::Configure(size_t capacity_bytes) {
 
 DecodedBlockHandle DecodedBlockCache::Lookup(uint64_t list_id,
                                              uint32_t block) {
-  // Id 0 is the "never cached" sentinel (see NextListId): a list whose
-  // id was reset — e.g. by the decode_postings expansion — must never
-  // read another list's entries, so reject the lookup outright.
+  // Id 0 is the "never cached" sentinel (see NextListId): a list that
+  // was never minted an id (default-constructed) must never read
+  // another list's entries, so reject the lookup outright.
   if (list_id == 0) return nullptr;
   const Key key{list_id, block};
   Shard& shard = ShardFor(key);

@@ -59,7 +59,7 @@ class DecodedBlockCache {
   /// Mints a fresh list id for PostingList::cache_id. Never reused, so
   /// entries of a destroyed index age out of the LRU naturally instead
   /// of needing a purge hook. Id 0 is never minted: it is the "never
-  /// cached" sentinel carried by default-constructed and decoded lists,
+  /// cached" sentinel carried by default-constructed and empty lists,
   /// and the cache rejects it (Lookup misses, Insert passes through
   /// unstored) so a reset list cannot alias another list's entries.
   static uint64_t NextListId();

@@ -9,9 +9,7 @@
 namespace tix::index {
 
 void BlockCursor::Load(size_t i) {
-  // Reaching here with a decoded (or null) list would mean an
-  // out-of-range index: the ctor's window already spans those entirely.
-  TIX_CHECK(list_ != nullptr && list_->is_compressed() && i < size_);
+  TIX_CHECK(list_ != nullptr && i < size_);
   const uint32_t block = static_cast<uint32_t>(i / kSkipInterval);
   obs::Count(obs::Counter::kIndexBlocksScanned);
   DecodedBlockCache& cache = DecodedBlockCache::Instance();
@@ -24,7 +22,8 @@ void BlockCursor::Load(size_t i) {
     // or API misuse, not bad input.
     TIX_CHECK(status.ok()) << status.ToString();
     obs::Count(obs::Counter::kIndexBlocksDecoded);
-    if (codec::ActiveDecodeKernel() == codec::DecodeKernel::kSimd) {
+    if (codec::DecodeKernelFor(list_->tail_format) ==
+        codec::DecodeKernel::kSimd) {
       obs::Count(obs::Counter::kIndexBlocksDecodedSimd);
     }
     handle = cache.Insert(list_->cache_id, block, std::move(fresh));

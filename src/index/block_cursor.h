@@ -8,10 +8,9 @@
 
 /// \file
 /// BlockCursor: random access into a posting list by posting index, with
-/// lazy per-block decode. On a decoded list it is a zero-cost window
-/// over the vector; on a block-compressed list it decodes (or fetches
-/// from the shared DecodedBlockCache) exactly the blocks it is asked
-/// for, so seek-heavy consumers — top-K pushdown above all — never pay
+/// lazy per-block decode. It decodes (or fetches from the shared
+/// DecodedBlockCache) exactly the blocks it is asked for, so seek-heavy
+/// consumers — top-K pushdown above all — never pay
 /// for postings they skip. Every occurrence-stream consumer (TermJoin,
 /// ParallelTermJoin, PhraseFinder, the Comp baselines) reads through
 /// one of these.
@@ -21,15 +20,10 @@ namespace tix::index {
 class BlockCursor {
  public:
   /// `list` may be nullptr (unknown term): size() is then 0. The list
-  /// must outlive the cursor and, if compressed, must have been
-  /// finalized by Compress()/FinishCompressed().
+  /// must outlive the cursor and must have been finalized by
+  /// PostingList::Build() or FinishCompressed().
   explicit BlockCursor(const PostingList* list = nullptr)
-      : list_(list), size_(list == nullptr ? 0 : list->size()) {
-    if (list_ != nullptr && !list_->is_compressed()) {
-      data_ = list_->postings.data();
-      window_len_ = size_;
-    }
-  }
+      : list_(list), size_(list == nullptr ? 0 : list->size()) {}
 
   size_t size() const { return size_; }
 
@@ -52,8 +46,8 @@ class BlockCursor {
   size_t window_begin_ = 0;
   size_t window_len_ = 0;
   size_t size_ = 0;
-  /// Pin on the cache entry backing `data_` (compressed lists only), so
-  /// an eviction can never free a block mid-read.
+  /// Pin on the cache entry backing `data_`, so an eviction can never
+  /// free a block mid-read.
   DecodedBlockHandle pinned_;
 };
 

@@ -767,11 +767,12 @@ std::string TixServer::StatsJson() const {
     AppendJsonField(&out, "doc_index_bytes", seg.doc_index_bytes, &first);
     out += "}";
   }
-  // The decode kernel is a string, so it can't go through the numeric
-  // AppendJsonField helper; the name comes from a fixed internal set
-  // ("scalar"/"swar"/"simd"), no escaping needed.
+  // The v4 decode kernel (v3 always runs scalar) is a string, so it
+  // can't go through the numeric AppendJsonField helper; the name comes
+  // from a fixed internal set ("scalar"/"simd"), no escaping needed.
   out += ",\"decode_kernel\":\"";
-  out += codec::DecodeKernelName(codec::ActiveDecodeKernel());
+  out += codec::DecodeKernelName(
+      codec::DecodeKernelFor(codec::TailFormat::kV4));
   out += "\"";
   if (fleet_ != nullptr) {
     const ShardFleetStats fleet = fleet_->Stats();

@@ -11,27 +11,31 @@
 #include "tests/test_util.h"
 
 /// \file
-/// Differential fuzzing of the posting-block decode kernels. The scalar
-/// loop is the reference; the SWAR and SIMD kernels must agree with it
-/// bit-for-bit on decoded triples AND on Status outcomes (same
-/// ok/corruption verdict, same message) for every input — seeded random
-/// blocks, every-prefix truncations, trailing bytes, overlong varints,
-/// v4 padding violations, and wraparound deltas. Also pins the varint
-/// boundary semantics shared between common/varint.h (GetVarint32) and
-/// the kernels' inline decoders so the two never drift. Runs under TSan
-/// and ASan/UBSan via scripts/check_sanitizers.sh, which is what proves
-/// the SIMD tail handling never reads past the buffer.
+/// Differential fuzzing of the posting-block decode kernels. Each
+/// format's portable loop is the reference; the v4 SIMD kernel must
+/// agree with it bit-for-bit on decoded triples AND on Status outcomes
+/// (same ok/corruption verdict, same message) for every input — seeded
+/// random blocks, every-prefix truncations, trailing bytes, v4 padding
+/// violations, and wraparound deltas. v3 has only its scalar loop, which
+/// every sweep still runs. Also pins the varint boundary semantics
+/// shared between common/varint.h (GetVarint32) and the v3 loop's inline
+/// decoder so the two never drift. Runs under TSan and ASan/UBSan via
+/// scripts/check_sanitizers.sh, which is what proves the SIMD kernel's
+/// wide loads and the portable loop's masked loads never read past the
+/// buffer.
 
 namespace tix::codec {
 namespace {
 
 constexpr TailFormat kFormats[] = {TailFormat::kV3, TailFormat::kV4};
 
-std::vector<DecodeKernel> AvailableKernels() {
-  std::vector<DecodeKernel> kernels;
-  for (const DecodeKernel kernel :
-       {DecodeKernel::kScalar, DecodeKernel::kSwar, DecodeKernel::kSimd}) {
-    if (DecodeKernelAvailable(kernel)) kernels.push_back(kernel);
+/// Every kernel `format` has on this machine: scalar always, plus SIMD
+/// for v4 when the CPU supports it.
+std::vector<DecodeKernel> KernelsFor(TailFormat format) {
+  std::vector<DecodeKernel> kernels = {DecodeKernel::kScalar};
+  if (format == TailFormat::kV4 &&
+      DecodeKernelAvailable(DecodeKernel::kSimd)) {
+    kernels.push_back(DecodeKernel::kSimd);
   }
   return kernels;
 }
@@ -60,13 +64,13 @@ DecodeOutcome DecodeWith(TailFormat format, DecodeKernel kernel,
   return out;
 }
 
-/// Asserts that every available kernel produces the scalar kernel's
+/// Asserts that every kernel of `format` produces the scalar loop's
 /// exact outcome on (format, bytes, count).
 void ExpectKernelParity(TailFormat format, std::string_view bytes,
                         size_t count, const std::string& label) {
   const DecodeOutcome reference =
       DecodeWith(format, DecodeKernel::kScalar, bytes, count);
-  for (const DecodeKernel kernel : AvailableKernels()) {
+  for (const DecodeKernel kernel : KernelsFor(format)) {
     const DecodeOutcome got = DecodeWith(format, kernel, bytes, count);
     ASSERT_EQ(got.status, reference.status)
         << label << " format=" << static_cast<int>(format)
@@ -114,32 +118,27 @@ std::vector<uint32_t> RandomTriples(std::mt19937* rng, size_t count,
 
 // ------------------------------------------------------ dispatch basics
 
-TEST(DecodeKernelTest, PortableKernelsAreAlwaysAvailable) {
+TEST(DecodeKernelTest, PortableKernelIsAlwaysAvailable) {
   EXPECT_TRUE(DecodeKernelAvailable(DecodeKernel::kScalar));
-  EXPECT_TRUE(DecodeKernelAvailable(DecodeKernel::kSwar));
-  EXPECT_TRUE(DecodeKernelAvailable(ActiveDecodeKernel()));
   EXPECT_STREQ(DecodeKernelName(DecodeKernel::kScalar), "scalar");
-  EXPECT_STREQ(DecodeKernelName(DecodeKernel::kSwar), "swar");
   EXPECT_STREQ(DecodeKernelName(DecodeKernel::kSimd), "simd");
 }
 
-TEST(DecodeKernelTest, SetActiveKernelRoutesDecodeBlockTail) {
-  const DecodeKernel previous = ActiveDecodeKernel();
+TEST(DecodeKernelTest, DispatchIsPerFormat) {
+  EXPECT_EQ(DecodeKernelFor(TailFormat::kV3), DecodeKernel::kScalar);
+  EXPECT_EQ(DecodeKernelFor(TailFormat::kV4),
+            DecodeKernelAvailable(DecodeKernel::kSimd) ? DecodeKernel::kSimd
+                                                       : DecodeKernel::kScalar);
   const uint32_t triples[6] = {1, 2, 3, 1, 2, 5};
-  for (const DecodeKernel kernel : AvailableKernels()) {
-    SetActiveDecodeKernel(kernel);
-    EXPECT_EQ(ActiveDecodeKernel(), kernel);
-    for (const TailFormat format : kFormats) {
-      std::string bytes;
-      EncodeBlockTail(format, triples, 2, &bytes);
-      uint32_t out[6] = {1, 2, 3, 0, 0, 0};
-      testing::ExpectOk(DecodeBlockTail(format, bytes, 2, out));
-      EXPECT_EQ(out[3], 1u);
-      EXPECT_EQ(out[4], 2u);
-      EXPECT_EQ(out[5], 5u);
-    }
+  for (const TailFormat format : kFormats) {
+    std::string bytes;
+    EncodeBlockTail(format, triples, 2, &bytes);
+    uint32_t out[6] = {1, 2, 3, 0, 0, 0};
+    testing::ExpectOk(DecodeBlockTail(format, bytes, 2, out));
+    EXPECT_EQ(out[3], 1u);
+    EXPECT_EQ(out[4], 2u);
+    EXPECT_EQ(out[5], 5u);
   }
-  SetActiveDecodeKernel(previous);
 }
 
 // ------------------------------------------------- differential fuzzing
@@ -165,7 +164,7 @@ TEST(KernelDifferentialTest, SeededRandomBlocksAgreeAcrossKernels) {
       for (const TailFormat format : kFormats) {
         std::string bytes;
         EncodeBlockTail(format, triples.data(), count, &bytes);
-        for (const DecodeKernel kernel : AvailableKernels()) {
+        for (const DecodeKernel kernel : KernelsFor(format)) {
           std::vector<uint32_t> decoded(3 * count);
           decoded[0] = triples[0];
           decoded[1] = triples[1];
@@ -322,7 +321,7 @@ TEST(KernelDifferentialTest, WraparoundDeltasReconstructIdentically) {
   for (const TailFormat format : kFormats) {
     std::string bytes;
     EncodeBlockTail(format, triples.data(), count, &bytes);
-    for (const DecodeKernel kernel : AvailableKernels()) {
+    for (const DecodeKernel kernel : KernelsFor(format)) {
       std::vector<uint32_t> decoded(triples.size());
       decoded[0] = triples[0];
       decoded[1] = triples[1];
@@ -337,13 +336,13 @@ TEST(KernelDifferentialTest, WraparoundDeltasReconstructIdentically) {
 
 // -------------------------------------- varint boundary semantics (v3)
 
-/// The kernels' inline varint decoders and GetVarint32 must accept the
+/// The v3 loop's inline varint decoder and GetVarint32 must accept the
 /// same canonical encodings with the same values, and reject the same
 /// truncations — the two surfaces decode the same wire format (list
-/// headers use GetVarint32, block tails use the kernels) and must never
-/// drift. The one deliberate divergence: the kernels cap an encoding at
+/// headers use GetVarint32, block tails use the kernel) and must never
+/// drift. The one deliberate divergence: the kernel caps an encoding at
 /// 5 bytes (nothing the encoder emits is longer), while GetVarint32
-/// tolerates overlong zero-padding; the kernels being strictly tighter
+/// tolerates overlong zero-padding; the kernel being strictly tighter
 /// is asserted in OverlongAndNonCanonicalVarints above.
 TEST(VarintBoundaryTest, KernelsMatchGetVarint32AtEveryBoundary) {
   const uint32_t boundaries[] = {
@@ -366,7 +365,7 @@ TEST(VarintBoundaryTest, KernelsMatchGetVarint32AtEveryBoundary) {
       EXPECT_FALSE(GetVarint32(&prefix).ok()) << value << " prefix " << len;
     }
 
-    // Each kernel decodes the same encoding in both the doc-delta slot
+    // The v3 kernel decodes the same encoding in both the doc-delta slot
     // (reset rule fires for nonzero values) and the node-delta slot
     // (accumulation path), and rejects the same prefixes.
     const std::string zero2("\x00\x00", 2);
@@ -375,7 +374,7 @@ TEST(VarintBoundaryTest, KernelsMatchGetVarint32AtEveryBoundary) {
     as_node.push_back('\x00');
     as_node += encoded;
     as_node.push_back('\x00');
-    for (const DecodeKernel kernel : AvailableKernels()) {
+    for (const DecodeKernel kernel : KernelsFor(TailFormat::kV3)) {
       uint32_t out[6] = {40, 50, 60, 0, 0, 0};
       testing::ExpectOk(DecodeBlockTailWithKernel(
           TailFormat::kV3, kernel, as_doc, 2, out));

@@ -404,25 +404,9 @@ TEST(BlockCacheSentinelTest, IdZeroIsNeverMintedStoredNorServed) {
   // Insert passes an id-0 block through without storing it...
   const DecodedBlockHandle returned = cache.Insert(0, 0, block);
   EXPECT_EQ(returned, block);
-  // ...so a later id-0 lookup (any list whose id was reset) can never
+  // ...so a later id-0 lookup (a list never minted an id) can never
   // see another list's bytes.
   EXPECT_EQ(cache.Lookup(0, 0), nullptr);
-}
-
-// The decode_postings expansion resets lists to cache_id 0; such a list
-// must never alias blocks another compressed list parked in the cache.
-TEST(BlockCacheSentinelTest, DecodedListsCarryTheSentinelAfterLoad) {
-  auto corpus = MakeCorpusDb(/*articles=*/6, /*seed=*/29);
-  InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
-  const std::string path = corpus->dir.path() + "/v3.tix";
-  ExpectOk(built.SaveToFile(path));
-
-  IndexLoadOptions decode;
-  decode.decode_postings = true;
-  InvertedIndex expanded = Unwrap(InvertedIndex::LoadFromFile(path, decode));
-  for (text::TermId id = 0; id < expanded.stats().num_terms; ++id) {
-    EXPECT_EQ(expanded.LookupId(id)->cache_id, 0u) << "term " << id;
-  }
 }
 
 }  // namespace

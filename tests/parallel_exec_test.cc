@@ -314,19 +314,15 @@ TEST(TermJoinDocRangeTest, RangeUnionEqualsWhole) {
 
 // --------------------------------------------------- skip-block seeking
 
-TEST(PostingListSkipTest, LowerBoundDocWithAndWithoutOffsets) {
-  index::PostingList list;
+TEST(PostingListSkipTest, LowerBoundDocFromOffsets) {
+  std::vector<index::Posting> postings;
   for (uint32_t doc = 0; doc < 10; ++doc) {
     for (uint32_t i = 0; i < 300; ++i) {
-      list.postings.push_back(
+      postings.push_back(
           index::Posting{doc, doc * 1000 + i, doc * 10000 + i * 3});
     }
   }
-  // Not built yet: falls back to binary search over postings.
-  EXPECT_EQ(list.LowerBoundDoc(0), 0u);
-  EXPECT_EQ(list.LowerBoundDoc(7), 7u * 300u);
-  EXPECT_EQ(list.LowerBoundDoc(10), list.size());
-  list.BuildSkips();
+  const index::PostingList list = Unwrap(index::PostingList::Build(postings));
   EXPECT_EQ(list.doc_offsets.size(), 10u);
   EXPECT_EQ(list.skips.size(),
             (list.size() + index::kSkipInterval - 1) / index::kSkipInterval);
@@ -336,24 +332,24 @@ TEST(PostingListSkipTest, LowerBoundDocWithAndWithoutOffsets) {
 }
 
 TEST(PostingListSkipTest, SkipForwardIsALowerBoundForTheTarget) {
-  index::PostingList list;
+  std::vector<index::Posting> postings;
   for (uint32_t i = 0; i < 5000; ++i) {
-    list.postings.push_back(index::Posting{i / 700, i, i * 2});
+    postings.push_back(index::Posting{i / 700, i, i * 2});
   }
-  list.BuildSkips();
+  const index::PostingList list = Unwrap(index::PostingList::Build(postings));
   for (const uint32_t target : {0u, 999u, 2048u, 4999u, 9998u}) {
     const storage::DocId doc = (target / 2) / 700;
     const size_t jumped = list.SkipForward(0, doc, target);
     // Everything before the jump destination is strictly before the
     // target, and the destination is within one block of it.
     if (jumped > 0) {
-      const index::Posting& before = list.postings[jumped - 1];
+      const index::Posting& before = postings[jumped - 1];
       EXPECT_TRUE(before.doc_id < doc ||
                   (before.doc_id == doc && before.word_pos < target));
     }
     const size_t exact =
         static_cast<size_t>(std::lower_bound(
-                                list.postings.begin(), list.postings.end(),
+                                postings.begin(), postings.end(),
                                 std::make_pair(doc, target),
                                 [](const index::Posting& p,
                                    const std::pair<storage::DocId, uint32_t>&
@@ -362,7 +358,7 @@ TEST(PostingListSkipTest, SkipForwardIsALowerBoundForTheTarget) {
                                          (p.doc_id == t.first &&
                                           p.word_pos < t.second);
                                 }) -
-                            list.postings.begin());
+                            postings.begin());
     EXPECT_LE(jumped, exact);
     EXPECT_LE(exact - jumped, static_cast<size_t>(index::kSkipInterval));
   }
@@ -371,19 +367,24 @@ TEST(PostingListSkipTest, SkipForwardIsALowerBoundForTheTarget) {
 // ----------------------------------------------------- DebugCheckSorted
 
 TEST(DebugCheckSortedTest, AcceptsValidAndRejectsCorruptLists) {
-  index::PostingList list;
-  list.postings = {{0, 5, 10}, {0, 5, 11}, {1, 9, 2}, {2, 12, 7}};
-  list.doc_frequency = 3;
-  list.node_frequency = 3;
+  const std::vector<index::Posting> postings = {
+      {0, 5, 10}, {0, 5, 11}, {1, 9, 2}, {2, 12, 7}};
+  const index::PostingList list = Unwrap(index::PostingList::Build(postings));
+  EXPECT_EQ(list.doc_frequency, 3u);
+  EXPECT_EQ(list.node_frequency, 3u);
   ExpectOk(list.DebugCheckSorted());
 
-  index::PostingList unsorted = list;
-  std::swap(unsorted.postings[1], unsorted.postings[2]);
-  EXPECT_FALSE(unsorted.DebugCheckSorted().ok());
+  std::vector<index::Posting> unsorted = postings;
+  std::swap(unsorted[1], unsorted[2]);
+  EXPECT_FALSE(index::PostingList::Build(unsorted).ok());
 
-  index::PostingList duplicate = list;
-  duplicate.postings[1].word_pos = 10;  // equal (doc, word_pos)
-  EXPECT_FALSE(duplicate.DebugCheckSorted().ok());
+  std::vector<index::Posting> duplicate = postings;
+  duplicate[1].word_pos = 10;  // equal (doc, word_pos)
+  EXPECT_FALSE(index::PostingList::Build(duplicate).ok());
+
+  std::vector<index::Posting> node_backwards = postings;
+  node_backwards[1].node_id = 4;  // node ids fall within doc 0
+  EXPECT_FALSE(index::PostingList::Build(node_backwards).ok());
 
   index::PostingList bad_df = list;
   bad_df.doc_frequency = 2;

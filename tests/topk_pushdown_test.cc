@@ -104,23 +104,20 @@ std::vector<ScoredElement> MaterializeThenThreshold(
 /// holds 30 — 270 total, i.e. three skip blocks (interval 128) with doc 0
 /// straddling the first boundary.
 index::PostingList MakeThreeDocList() {
-  index::PostingList list;
+  std::vector<index::Posting> postings;
   const uint32_t counts[] = {140, 100, 30};
   uint32_t pos = 0;
   for (uint32_t doc = 0; doc < 3; ++doc) {
     for (uint32_t i = 0; i < counts[doc]; ++i) {
-      list.postings.push_back(index::Posting{doc, doc * 1000 + i, pos});
+      postings.push_back(index::Posting{doc, doc * 1000 + i, pos});
       pos += 2;
     }
   }
-  list.doc_frequency = 3;
-  list.node_frequency = static_cast<uint32_t>(list.postings.size());
-  return list;
+  return Unwrap(index::PostingList::Build(postings));
 }
 
-TEST(BlockMaxTest, BuildSkipsComputesPerBlockDocMaxima) {
-  index::PostingList list = MakeThreeDocList();
-  list.BuildSkips();
+TEST(BlockMaxTest, BuildComputesPerBlockDocMaxima) {
+  const index::PostingList list = MakeThreeDocList();
   ASSERT_EQ(list.skips.size(), 3u);  // ceil(270 / 128)
   // Block 0 holds only doc 0 (count 140). Block 1 is touched by docs 0,
   // 1 and 2 — the maximum is doc 0's *total* count even though only 12
@@ -135,21 +132,16 @@ TEST(BlockMaxTest, BuildSkipsComputesPerBlockDocMaxima) {
 }
 
 TEST(BlockMaxTest, DocPostingCountIsExact) {
-  index::PostingList list = MakeThreeDocList();
-  // Works both with and without the doc-offset acceleration.
-  for (const bool build : {false, true}) {
-    if (build) list.BuildSkips();
-    EXPECT_EQ(list.DocPostingCount(0), 140u) << build;
-    EXPECT_EQ(list.DocPostingCount(1), 100u) << build;
-    EXPECT_EQ(list.DocPostingCount(2), 30u) << build;
-    EXPECT_EQ(list.DocPostingCount(3), 0u) << build;
-    EXPECT_EQ(list.DocPostingCount(UINT32_MAX), 0u) << build;
-  }
+  const index::PostingList list = MakeThreeDocList();
+  EXPECT_EQ(list.DocPostingCount(0), 140u);
+  EXPECT_EQ(list.DocPostingCount(1), 100u);
+  EXPECT_EQ(list.DocPostingCount(2), 30u);
+  EXPECT_EQ(list.DocPostingCount(3), 0u);
+  EXPECT_EQ(list.DocPostingCount(UINT32_MAX), 0u);
 }
 
 TEST(BlockMaxTest, BlockBoundWindows) {
-  index::PostingList list = MakeThreeDocList();
-  list.BuildSkips();
+  const index::PostingList list = MakeThreeDocList();
   // From doc 0: block 0's window. The next skip entry still starts at
   // doc 0 (the straddle), so the window is clamped to a single document
   // — it must always advance.
@@ -165,15 +157,6 @@ TEST(BlockMaxTest, BlockBoundWindows) {
   const auto past = list.BlockBoundAt(3);
   EXPECT_EQ(past.max_doc_count, 0u);
   EXPECT_EQ(past.window_end, UINT32_MAX);
-}
-
-TEST(BlockMaxTest, ListWithoutSkipsNeverPrunes) {
-  index::PostingList list = MakeThreeDocList();  // BuildSkips not called
-  const auto bound = list.BlockBoundAt(1);
-  // Degraded bound: unknown ("infinite") count over a one-doc window —
-  // valid for any list, useful for none.
-  EXPECT_EQ(bound.max_doc_count, UINT32_MAX);
-  EXPECT_EQ(bound.window_end, 2u);
 }
 
 TEST(BlockMaxTest, CorpusListsSatisfyTheBoundInvariant) {
@@ -354,8 +337,7 @@ TEST(ThresholdOperatorTest, TiedScoresKeepDocumentOrderWinners) {
 // ------------------------------------------------------- stream seeking
 
 TEST(SkipToDocTest, TermStreamLeapsAndCountsBypassedPostings) {
-  index::PostingList list = MakeThreeDocList();
-  list.BuildSkips();
+  const index::PostingList list = MakeThreeDocList();
   TermOccurrenceStream stream(&list);
   EXPECT_EQ(stream.SkipToDoc(0), 0u);  // already there
   EXPECT_EQ(stream.SkipToDoc(2), 240u);  // doc 0 (140) + doc 1 (100)

@@ -235,7 +235,7 @@ int CmdLoad(const Args& args) {
 int CmdIndex(const Args& args) {
   auto db = Check(tix::storage::Database::Open(args.db_dir, DbOptions(args)));
   auto index =
-      Check(tix::index::InvertedIndex::Build(db.get(), true, args.tail_format));
+      Check(tix::index::InvertedIndex::Build(db.get(), args.tail_format));
   const tix::Status saved = index.SaveToFile(IndexPath(args.db_dir));
   if (!saved.ok()) Die(saved);
   // A full rebuild covers every document, so segmented state is now
@@ -382,8 +382,9 @@ int CmdStats(const Args& args) {
     std::printf("  formats:    %llu v3, %llu v4 segments\n",
                 static_cast<unsigned long long>(stats.segments_v3),
                 static_cast<unsigned long long>(stats.segments_v4));
-    std::printf("  decode kernel: %s\n",
-                tix::codec::DecodeKernelName(tix::codec::ActiveDecodeKernel()));
+    std::printf("  decode kernel: %s (v4), scalar (v3)\n",
+                tix::codec::DecodeKernelName(
+                    tix::codec::DecodeKernelFor(tix::codec::TailFormat::kV4)));
     for (size_t s = 0; s < snapshot->num_segments(); ++s) {
       const tix::index::Segment& segment = snapshot->segment(s);
       const auto& info = segment.info();
@@ -420,7 +421,8 @@ int CmdStats(const Args& args) {
                     .c_str());
     std::printf("  format:     v%d\n", index.value().format_version());
     std::printf("  decode kernel: %s\n",
-                tix::codec::DecodeKernelName(tix::codec::ActiveDecodeKernel()));
+                tix::codec::DecodeKernelName(tix::codec::DecodeKernelFor(
+                    index.value().tail_format())));
     const tix::index::IndexResidency residency = index.value().MemoryUsage();
     std::printf(
         "  resident:   %s bytes "
@@ -440,8 +442,7 @@ int CmdStats(const Args& args) {
                     static_cast<int64_t>(residency.mapped_bytes))
                     .c_str(),
                 residency.mapped_lists);
-    std::printf("  lists:      %zu compressed, %zu decoded\n",
-                residency.compressed_lists, residency.decoded_lists);
+    std::printf("  lists:      %zu compressed\n", residency.compressed_lists);
     const tix::index::BlockCacheStats cache =
         tix::index::DecodedBlockCache::Instance().Stats();
     std::printf(
