@@ -55,6 +55,18 @@ class Flags {
   std::vector<std::pair<std::string, std::string>> values_;
 };
 
+/// Mean of non-empty `readings` without the min and max when there are
+/// at least three.
+inline double TrimmedMean(std::vector<double> readings) {
+  if (readings.size() >= 3) {
+    std::sort(readings.begin(), readings.end());
+    readings.erase(readings.begin());
+    readings.pop_back();
+  }
+  return std::accumulate(readings.begin(), readings.end(), 0.0) /
+         static_cast<double>(readings.size());
+}
+
 /// The paper's protocol: run up to `runs` times, drop the lowest and
 /// highest reading when >= 3 remain possible, average the rest. Long
 /// runs (first reading > `skip_repeat_above` seconds) are not repeated.
@@ -73,13 +85,7 @@ inline double Measure(const std::function<Status()>& fn, int runs,
     readings.push_back(elapsed);
     if (elapsed > skip_repeat_above) break;
   }
-  if (readings.size() >= 3) {
-    std::sort(readings.begin(), readings.end());
-    readings.erase(readings.begin());
-    readings.pop_back();
-  }
-  return std::accumulate(readings.begin(), readings.end(), 0.0) /
-         static_cast<double>(readings.size());
+  return TrimmedMean(std::move(readings));
 }
 
 /// Prints one dashed separator line sized to the header.

@@ -30,6 +30,8 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "index/block_cache.h"
+#include "index/block_cursor.h"
 #include "index/inverted_index.h"
 #include "index/manifest.h"
 #include "index/segment.h"
@@ -451,6 +453,45 @@ TEST(SegmentedIndexTest, RecoverReBuffersUnsealedDocuments) {
   auto segmented = Unwrap(index::SegmentedIndex::Open(dir.path()));
   ExpectOk(segmented->Recover(db.get()));
   ExpectEquivalence(db.get(), segmented.get(), docs, dir.path() + "/base");
+}
+
+TEST(SegmentedIndexTest, WriteBufferImageStaysOutOfTheBlockCache) {
+  TempDir dir;
+  auto db = MakeTestDatabase(dir.path(), 256);
+  index::SegmentedIndexOptions options;
+  options.seal_doc_count = 3;
+  auto segmented = Unwrap(index::SegmentedIndex::Open(dir.path(), options));
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 4; ++i) {  // seals at 3; doc 3 stays buffered
+    auto parsed = Unwrap(xml::ParseXml(MakeArticleXml(&rng),
+                                       "d" + std::to_string(i) + ".xml"));
+    ExpectOk(segmented->Ingest(db.get(), Unwrap(db->AddDocument(parsed))));
+  }
+  const auto snapshot = segmented->Acquire();
+  ASSERT_EQ(snapshot->num_segments(), 2u);
+  const index::InvertedIndex& sealed = snapshot->segment(0).index();
+  const index::InvertedIndex& buffer = snapshot->segment(1).index();
+  ASSERT_EQ(snapshot->segment(1).info().id, UINT64_MAX);
+  ASSERT_NE(buffer.stats().num_terms, 0u);
+  EXPECT_NE(sealed.Lookup("xhot")->cache_id, 0u);
+
+  index::DecodedBlockCache& cache = index::DecodedBlockCache::Instance();
+  const index::BlockCacheStats before = cache.Stats();
+  uint64_t postings_read = 0;
+  for (text::TermId id = 0; id < buffer.stats().num_terms; ++id) {
+    const index::PostingList* list = buffer.LookupId(id);
+    EXPECT_EQ(list->cache_id, 0u) << "term " << id;
+    index::BlockCursor cursor(list);
+    for (size_t i = 0; i < cursor.size(); ++i) {
+      postings_read += cursor.Get(i).word_pos > 0;
+    }
+  }
+  EXPECT_GT(postings_read, 0u);
+  // Reads of the buffer image decoded fresh and stored nothing.
+  const index::BlockCacheStats after = cache.Stats();
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.hits, before.hits);
 }
 
 TEST(SegmentedIndexTest, AdoptsMonolithicIndexInPlace) {
